@@ -16,11 +16,13 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .index_engine import (
+    CHAIN_MODES,
     ChainUndefinedError,
     IndexConfig,
     VotingUndefinedError,
@@ -92,18 +94,22 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_ingest(args) -> None:
+def _read_listings(args) -> tuple:
+    """Parse and filter ``args.input``: (schema, kept, report, errors, timings)."""
     schema = CsvSchema.from_spec(args.schema) if args.schema else CsvSchema()
-    input_path = Path(args.input)
     start = time.perf_counter()
-    records, errors = parse_listings(input_path, schema)
+    records, errors = parse_listings(Path(args.input), schema)
     t_parse = time.perf_counter() - start
     start = time.perf_counter()
     kept, report = filter_listings(records)
     t_filter = time.perf_counter() - start
     if errors:
         print(f"warning: {len(errors)} malformed row(s) skipped", file=sys.stderr)
+    return schema, kept, report, errors, {"parse": t_parse, "filter": t_filter}
 
+
+def cmd_ingest(args) -> None:
+    schema, kept, report, errors, timings = _read_listings(args)
     out = _out_dir(args)
     write_listings_csv(kept, out / "filtered.csv")
     with open(out / "filtration_report.json", "w", encoding="utf-8") as handle:
@@ -120,24 +126,38 @@ def cmd_ingest(args) -> None:
         out,
         "ingest",
         {"schema": asdict(schema)},
-        [input_path],
+        [Path(args.input)],
         outputs,
-        {"parse": t_parse, "filter": t_filter},
+        timings,
         extra={"parse_errors": len(errors)},
     )
     print(f"kept {report.surviving}/{report.total} records "
           f"({report.surviving_fraction:.1%})")
 
 
-_CONFIG_PARSERS = {
-    "votes_per_record": int,
-    "removal_fraction": float,
-    "factor_bedrooms": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "min_ratios_for_chain": int,
-    "geohash_precision": int,
-    "scb_min_population": int,
-    "chain_mode": str,
+# Each ``index`` flag and the IndexConfig field it sets; the field names
+# are the ``--config`` keys, and values are typed by the field defaults.
+_INDEX_FLAGS = {
+    "--precision": "geohash_precision",
+    "--factor-bedrooms": "factor_bedrooms",
+    "--votes-k": "votes_per_record",
+    "--removal-fraction": "removal_fraction",
+    "--min-ratios": "min_ratios_for_chain",
+    "--scb-min-population": "scb_min_population",
+    "--chain-mode": "chain_mode",
 }
+_DEFAULTS = asdict(IndexConfig())
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
+def _parse_value(key: str, text: str):
+    default = _DEFAULTS[key]
+    if not isinstance(default, bool):
+        return type(default)(text)
+    if text.lower() not in _BOOLEANS:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}")
+    return _BOOLEANS[text.lower()]
 
 
 def _read_config_file(path: str) -> dict:
@@ -150,26 +170,21 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise _UsageError(f"{path}:{line_no}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_PARSERS:
+            if key not in _DEFAULTS:
                 raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = _CONFIG_PARSERS[key](value)
+            try:
+                values[key] = _parse_value(key, value)
+            except ValueError as exc:
+                raise _UsageError(f"{path}:{line_no}: {key}: {exc}") from exc
     return values
 
 
 def _index_config(args) -> IndexConfig:
     values = _read_config_file(args.config) if args.config else {}
-    overrides = {
-        "geohash_precision": args.precision,
-        "factor_bedrooms": True if args.factor_bedrooms else None,
-        "votes_per_record": args.votes_k,
-        "removal_fraction": args.removal_fraction,
-        "min_ratios_for_chain": args.min_ratios,
-        "scb_min_population": args.scb_min_population,
-        "chain_mode": args.chain_mode,
-    }
-    for key, value in overrides.items():
+    for name in _INDEX_FLAGS.values():
+        value = getattr(args, name)
         if value is not None:
-            values[key] = value
+            values[name] = value
     try:
         return IndexConfig(**values)
     except ValueError as exc:
@@ -178,14 +193,7 @@ def _index_config(args) -> IndexConfig:
 
 def cmd_index(args) -> None:
     config = _index_config(args)
-    schema = CsvSchema.from_spec(args.schema) if args.schema else CsvSchema()
-    input_path = Path(args.input)
-    start = time.perf_counter()
-    raw, errors = parse_listings(input_path, schema)
-    kept, report = filter_listings(raw)
-    t_parse = time.perf_counter() - start
-    if errors:
-        print(f"warning: {len(errors)} malformed row(s) skipped", file=sys.stderr)
+    _, kept, report, _, read_timings = _read_listings(args)
     rejected = report.total - report.surviving
     if rejected:
         print(f"warning: input was not pre-filtered; {rejected} record(s) dropped",
@@ -212,12 +220,12 @@ def cmd_index(args) -> None:
         json.dump(stats.to_dict(), handle, indent=2)
         handle.write("\n")
 
-    timings = {"parse": t_parse, **result.timings}
+    timings = {"parse": sum(read_timings.values()), **result.timings}
     _write_manifest(
         out,
         "index",
         asdict(config),
-        [input_path],
+        [Path(args.input)],
         ["index_series.csv", "ratio_matrix.csv", "metrics.json"],
         timings,
         extra={
@@ -356,13 +364,13 @@ def build_parser() -> _Parser:
     p_index.add_argument("--output-dir", required=True)
     p_index.add_argument("--schema")
     p_index.add_argument("--config", help="flat key = value config file")
-    p_index.add_argument("--precision", type=int)
-    p_index.add_argument("--factor-bedrooms", action="store_true", default=None)
-    p_index.add_argument("--votes-k", type=int)
-    p_index.add_argument("--removal-fraction", type=float)
-    p_index.add_argument("--min-ratios", type=int)
-    p_index.add_argument("--scb-min-population", type=int)
-    p_index.add_argument("--chain-mode", choices=["additive", "geometric"])
+    for flag, name in _INDEX_FLAGS.items():
+        default = _DEFAULTS[name]
+        if isinstance(default, bool):
+            p_index.add_argument(flag, dest=name, action="store_true", default=None)
+        else:
+            choices = CHAIN_MODES if name == "chain_mode" else None
+            p_index.add_argument(flag, dest=name, type=type(default), choices=choices)
     p_index.set_defaults(func=cmd_index)
 
     p_compare = sub.add_parser("compare", help="compare one or more index series")
@@ -412,8 +420,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
     return 0
 

@@ -19,8 +19,6 @@ from .geocode import ALPHABET, GeoPoint, haversine_distance
 
 _ALPHABET_SET = frozenset(ALPHABET)
 
-GroupSpec = Any  # group value, predicate callable, or None for "all records"
-
 
 class KeyLengthMismatch(ValueError):
     """Raised when a key's length differs from the tree's fixed key length."""
@@ -28,10 +26,6 @@ class KeyLengthMismatch(ValueError):
 
 class EmptyTreeError(LookupError):
     """Raised when querying a tree that holds no records."""
-
-
-def _key_text(key: Any) -> str:
-    return key if isinstance(key, str) else key.text
 
 
 def _id_set(exclude: Any) -> frozenset:
@@ -49,6 +43,10 @@ class _Node:
         self.children: dict[str, _Node] = {}
         self.cache: list = []
         self.groups: dict[Hashable, list] = {}
+
+
+def _cache(node: _Node) -> list:
+    return node.cache
 
 
 class GeoTree:
@@ -75,53 +73,59 @@ class GeoTree:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def root(self) -> _Node:
-        return self._root
-
-    def insert(self, key: Any, record: Any) -> None:
-        """Append ``record`` to the cache of every node along ``key``'s path."""
-        text = _key_text(key)
-        if len(text) != self.key_length:
+    def _check_length(self, key: str) -> None:
+        if len(key) != self.key_length:
             raise KeyLengthMismatch(
-                f"key {text!r} has length {len(text)}, tree expects {self.key_length}"
+                f"key {key!r} has length {len(key)}, tree expects {self.key_length}"
             )
-        for c in text:  # validate before touching any node
+
+    def insert(self, key: str, record: Any) -> None:
+        """Append ``record`` to the cache of every node along ``key``'s path."""
+        self._check_length(key)
+        for c in key:  # validate before touching any node
             if c not in _ALPHABET_SET:
                 raise ValueError(f"key character {c!r} outside the geohash alphabet")
         label = self.group_key(record) if self.group_key is not None else None
-        node = self._root
-        node.cache.append(record)
-        if self.group_key is not None:
-            node.groups.setdefault(label, []).append(record)
-        for c in text:
-            child = node.children.get(c)
+        nodes = [self._root]
+        for c in key:
+            child = nodes[-1].children.get(c)
             if child is None:
-                child = _Node()
-                node.children[c] = child
-            child.cache.append(record)
+                child = nodes[-1].children[c] = _Node()
+            nodes.append(child)
+        for node in nodes:
+            node.cache.append(record)
             if self.group_key is not None:
-                child.groups.setdefault(label, []).append(record)
-            node = child
+                node.groups.setdefault(label, []).append(record)
         self._count += 1
 
-    def _path(self, key: Any) -> list[_Node]:
-        """Existing nodes along the key's path; index in the list = depth."""
-        text = _key_text(key)
-        if len(text) != self.key_length:
-            raise KeyLengthMismatch(
-                f"key {text!r} has length {len(text)}, tree expects {self.key_length}"
-            )
-        nodes = [self._root]
+    def _scb(
+        self, key: str, members: Callable[[_Node], list], min_population: int
+    ) -> tuple[list, int]:
+        """The surrounding common bucket walk shared by both queries.
+
+        Returns ``(members(node), depth)`` for the deepest node on the key's
+        path whose ``members`` number at least ``min_population``, or the
+        root's members at depth 0 when no node qualifies.
+        """
+        if min_population < 1:
+            raise ValueError("min_population must be at least 1")
+        if self._count == 0:
+            raise EmptyTreeError("query on an empty tree")
+        self._check_length(key)
         node = self._root
-        for c in text:
+        nodes = [node]
+        for c in key:
             node = node.children.get(c)
             if node is None:
                 break
             nodes.append(node)
-        return nodes
+        for depth in range(len(nodes) - 1, 0, -1):
+            found = members(nodes[depth])
+            if len(found) >= min_population:
+                return found, depth
+        return members(self._root), 0
 
-    def scb_query(self, key: Any, min_population: int = 1) -> tuple[list, int]:
+    def scb_query(self, key: str, min_population: int = 1) -> tuple[list, int]:
         """Return the surrounding common bucket for ``key`` and its depth.
 
         The bucket is the cache of the deepest node on the key's path whose
@@ -129,30 +133,13 @@ class GeoTree:
         first ``depth`` characters with the query.  If even the root falls
         short, the root cache is returned at depth 0.
         """
-        if min_population < 1:
-            raise ValueError("min_population must be at least 1")
-        if self._count == 0:
-            raise EmptyTreeError("scb_query on an empty tree")
-        nodes = self._path(key)
-        for depth in range(len(nodes) - 1, -1, -1):
-            if len(nodes[depth].cache) >= min_population:
-                return nodes[depth].cache, depth
-        return self._root.cache, 0
-
-    def _members(self, node: _Node, group: GroupSpec) -> list:
-        if group is None:
-            return node.cache
-        if callable(group):
-            return [r for r in node.cache if group(r)]
-        if self.group_key is None:
-            raise ValueError("tree was built without a group_key")
-        return node.groups.get(group, [])
+        return self._scb(key, _cache, min_population)
 
     def nearest_in_group(
         self,
-        key: Any,
+        key: str,
         point: GeoPoint,
-        group: GroupSpec = None,
+        group: Hashable | None = None,
         *,
         exclude: Any = None,
         min_population: int = 1,
@@ -160,37 +147,24 @@ class GeoTree:
         """Nearest record to ``point`` among the query's group bucket.
 
         Walks to the deepest node on the key's path holding at least
-        ``min_population`` records that match ``group`` (a group label, a
-        predicate, or None for all records) and are not in ``exclude``;
-        within that bucket the record with the smallest great-circle
-        distance wins, ties broken by smallest id.  Falls back to the root
-        bucket when no node meets the threshold; returns None only when no
+        ``min_population`` records that carry the label ``group`` (or any
+        label when ``group`` is None) and are not in ``exclude``; within
+        that bucket the record with the smallest great-circle distance
+        wins, ties broken by smallest id.  Falls back to the root bucket
+        when no node meets the threshold; returns None only when no
         matching record exists at all.
         """
-        if min_population < 1:
-            raise ValueError("min_population must be at least 1")
-        if self._count == 0:
-            raise EmptyTreeError("nearest_in_group on an empty tree")
+        if group is not None and self.group_key is None:
+            raise ValueError("tree was built without a group_key")
         excluded = _id_set(exclude)
-        nodes = self._path(key)
-        candidates: list | None = None
-        for depth in range(len(nodes) - 1, -1, -1):
-            members = self._members(nodes[depth], group)
-            if len(members) < min_population:
-                continue
-            filtered = (
-                [r for r in members if r.id not in excluded] if excluded else members
-            )
-            if len(filtered) >= min_population:
-                candidates = filtered
-                break
-        if candidates is None:
-            members = self._members(self._root, group)
-            candidates = (
-                [r for r in members if r.id not in excluded] if excluded else members
-            )
-            if not candidates:
-                return None
+
+        def members(node: _Node) -> list:
+            found = node.cache if group is None else node.groups.get(group, [])
+            return [r for r in found if r.id not in excluded] if excluded else found
+
+        candidates, _ = self._scb(key, members, min_population)
+        if not candidates:
+            return None
         return min(
             candidates, key=lambda r: (haversine_distance(point, r.point), r.id)
         )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Iterable, Sequence
 
-from .geocode import encode_geohash, make_geohash_plus
+from .geocode import encode_geohash
 from .geotree import GeoTree
 from .ingestion import ListingRecord
 
@@ -117,10 +117,10 @@ class IndexResult:
 
 def record_key(record: ListingRecord, config: IndexConfig) -> str:
     """Tree key for a record: geohash, bedroom character prepended when factoring."""
-    base = encode_geohash(record.point, config.geohash_precision)
+    base = encode_geohash(record.point, config.geohash_precision).text
     if config.factor_bedrooms:
-        return make_geohash_plus(str(record.bedrooms), base).text
-    return base.text
+        return str(record.bedrooms) + base
+    return base
 
 
 def key_length(config: IndexConfig) -> int:
@@ -130,13 +130,12 @@ def key_length(config: IndexConfig) -> int:
 def build_tree(
     records: Sequence[ListingRecord],
     config: IndexConfig,
-    keys: dict[str, str] | None = None,
+    keys: dict[str, str],
 ) -> GeoTree:
-    """Build the month-grouped tree over ``records``; fills ``keys`` by id."""
+    """Build the month-grouped tree over ``records``, keyed by ``keys[id]``."""
     tree = GeoTree(key_length(config), group_key=lambda r: r.month_key)
     for r in records:
-        key = record_key(r, config) if keys is None else keys[r.id]
-        tree.insert(key, r)
+        tree.insert(keys[r.id], r)
     return tree
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from geohpi.cli import main
 
 from helpers import filtration_fixture_raw, write_raw_csv
@@ -151,6 +153,68 @@ class TestIndex:
         cfg.write_text("colour = blue\n")
         assert run("index", "--input", str(data / "listings.csv"),
                    "--output-dir", str(tmp_path / "o"), "--config", str(cfg)) == 1
+
+    @pytest.mark.parametrize(
+        "line", ["votes_per_record = two", "factor_bedrooms = ture"]
+    )
+    def test_unparseable_config_value_is_usage_error(self, tmp_path, capsys, line):
+        data = synth(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(out), "--config", str(cfg)) == 1
+        assert "run.cfg:1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, expected", [("Yes", True), ("on", True), ("0", False), ("FALSE", False)]
+    )
+    def test_config_boolean_spellings(self, tmp_path, text, expected):
+        data = synth(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"factor_bedrooms = {text}\n")
+        out = tmp_path / "indexed"
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(out), "--config", str(cfg)) == 0
+        manifest = json.loads((out / "index_manifest.json").read_text())
+        assert manifest["config"]["factor_bedrooms"] is expected
+
+    def test_every_flag_and_config_key_sets_its_field(self, tmp_path):
+        data = synth(tmp_path)
+        expected = {
+            "votes_per_record": 2,
+            "removal_fraction": 0.05,
+            "factor_bedrooms": True,
+            "min_ratios_for_chain": 1,
+            "geohash_precision": 6,
+            "scb_min_population": 2,
+            "chain_mode": "geometric",
+        }
+        flags = ["--precision", "6", "--factor-bedrooms", "--votes-k", "2",
+                 "--removal-fraction", "0.05", "--min-ratios", "1",
+                 "--scb-min-population", "2", "--chain-mode", "geometric"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in expected.items()))
+        for name, extra in (("flags", flags), ("file", ["--config", str(cfg)])):
+            out = tmp_path / name
+            assert run("index", "--input", str(data / "listings.csv"),
+                       "--output-dir", str(out), *extra) == 0
+            manifest = json.loads((out / "index_manifest.json").read_text())
+            assert manifest["config"] == expected
+
+    def test_internal_error_prints_traceback(self, tmp_path, capsys, monkeypatch):
+        data = synth(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine exploded")
+
+        monkeypatch.setattr("geohpi.cli.compute_index", broken)
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "internal error: engine exploded" in err
+        assert "Traceback" in err
 
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         data = synth(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geohpi.geocode import GeoPoint, Geohash, encode_geohash, make_geohash_plus
+from geohpi.geocode import GeoPoint, encode_geohash, make_geohash_plus
 from geohpi.geotree import EmptyTreeError, GeoTree, KeyLengthMismatch
 
 from helpers import clustered_records, make_record
@@ -17,6 +17,12 @@ def build_tree(records, keys, key_length, group_key=lambda r: r.month_key):
     for r in records:
         tree.insert(keys[r.id], r)
     return tree
+
+
+def root_of(tree):
+    depth, node = next(iter(tree.walk()))
+    assert depth == 0
+    return node
 
 
 def random_keys(rng, records, key_length, alphabet="0123"):
@@ -32,7 +38,7 @@ class TestInsert:
         record = make_record("a", 53.0, -7.0, 100_000)
         tree = GeoTree(5)
         tree.insert("gc7x9", record)
-        assert tree.root.cache == [record]
+        assert root_of(tree).cache == [record]
         assert len(tree) == 1
 
     def test_identical_keys_share_deepest_node(self):
@@ -60,13 +66,8 @@ class TestInsert:
         with pytest.raises(ValueError):
             tree.insert("0a0", make_record("a", 53.0, -7.0, 100_000))
         assert len(tree) == 0
-        assert tree.root.cache == []
-        assert tree.root.children == {}
-
-    def test_accepts_geohash_objects(self):
-        tree = GeoTree(5)
-        tree.insert(Geohash("gc7x9"), make_record("a", 53.0, -7.0, 100_000))
-        assert len(tree) == 1
+        assert root_of(tree).cache == []
+        assert root_of(tree).children == {}
 
     def test_cache_sizes_sum_over_children(self):
         rng = random.Random(7)
@@ -190,21 +191,6 @@ class TestNearestInGroup:
                 expected.id if expected else None
             )
 
-    def test_group_value_matches_predicate(self):
-        rng = random.Random(37)
-        records = clustered_records(rng, 150)
-        keys = random_keys(rng, records, 5)
-        tree = build_tree(records, keys, 5)
-        query = keys[records[0].id]
-        point = records[0].point
-        by_value = tree.nearest_in_group(query, point, "2015-02")
-        by_predicate = tree.nearest_in_group(
-            query, point, lambda r: r.month_key == "2015-02"
-        )
-        assert (by_value.id if by_value else None) == (
-            by_predicate.id if by_predicate else None
-        )
-
     def test_group_value_without_group_key_rejected(self):
         tree = GeoTree(5)
         tree.insert("gc7x9", make_record("a", 53.0, -7.0, 100_000))
@@ -257,7 +243,7 @@ class TestParameterTransparency:
             base = encode_geohash(r.point, 6)
             keys[r.id] = str(r.bedrooms) + base.text
             plain.insert(keys[r.id], r)
-            plus.insert(make_geohash_plus(str(r.bedrooms), base), r)
+            plus.insert(make_geohash_plus(str(r.bedrooms), base).text, r)
         for r in records[:50]:
             got_plain = plain.scb_query(keys[r.id], min_population=3)
             got_plus = plus.scb_query(keys[r.id], min_population=3)
@@ -273,7 +259,7 @@ def test_cache_coherence_property(keys):
     tree = GeoTree(4)
     for i, key in enumerate(keys):
         tree.insert(key, make_record(f"r{i:03d}", 53.0, -7.0, 100_000))
-    assert len(tree.root.cache) == len(keys)
+    assert len(root_of(tree).cache) == len(keys)
     for depth, node in tree.walk():
         if depth < 4:
             child_total = Counter(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geohpi.index_engine import (
     ChainUndefinedError,
@@ -18,6 +20,7 @@ from geohpi.index_engine import (
     removal_count,
     voting_stage,
 )
+from geohpi.synthgen import generate, mix_shift_config
 
 from helpers import clustered_records, make_record
 from oracle import matrix_scan, oracle_key, pipeline_scan, voting_scan
@@ -461,3 +464,35 @@ class TestComputeIndex:
         ]
         with pytest.raises(ValueError, match="unique"):
             compute_index(records, IndexConfig())
+
+
+def _shuffle_fixture():
+    records, _ = generate(mix_shift_config(seed=3, months=4, records_per_month=30))
+    # exact duplicate coordinates make neighbour distances tie, so only the
+    # id tie rule keeps the result independent of input order
+    twins = [
+        make_record(f"twin-{r.id}", r.point.lat, r.point.lng, r.price * 1.1,
+                    r.month_key, r.bedrooms)
+        for r in records[::5]
+    ]
+    return records + twins
+
+
+_SHUFFLE_RECORDS = _shuffle_fixture()
+_SHUFFLE_CONFIGS = (
+    IndexConfig(min_ratios_for_chain=1),
+    IndexConfig(min_ratios_for_chain=1, factor_bedrooms=True),
+)
+_SHUFFLE_EXPECTED = [compute_index(_SHUFFLE_RECORDS, c) for c in _SHUFFLE_CONFIGS]
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=10, deadline=None)
+def test_input_order_does_not_change_index(rng):
+    shuffled = list(_SHUFFLE_RECORDS)
+    rng.shuffle(shuffled)
+    for config, expected in zip(_SHUFFLE_CONFIGS, _SHUFFLE_EXPECTED):
+        result = compute_index(shuffled, config)
+        assert result.series.values == expected.series.values
+        assert result.series.flagged == expected.series.flagged
+        assert result.matrix.entries == expected.matrix.entries
