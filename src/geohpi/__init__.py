@@ -5,11 +5,9 @@ from .geocode import (
     EARTH_RADIUS_M,
     GeoPoint,
     Geohash,
-    GeohashPlus,
     decode_geohash,
     encode_geohash,
     haversine_distance,
-    make_geohash_plus,
 )
 from .geotree import EmptyTreeError, GeoTree, KeyLengthMismatch
 from .index_engine import (

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +35,7 @@ from .ingestion import (
     parse_listings,
     write_listings_csv,
 )
-from .metrics import UndefinedMetricError, series_metrics
+from .metrics import SeriesMetrics, UndefinedMetricError, series_metrics
 from .plotting import render_line_chart
 from .synthgen import SynthConfig, generate, write_truth_csv
 
@@ -96,7 +96,10 @@ def _out_dir(args) -> Path:
 
 def _read_listings(args) -> tuple:
     """Parse and filter ``args.input``: (schema, kept, report, errors, timings)."""
-    schema = CsvSchema.from_spec(args.schema) if args.schema else CsvSchema()
+    try:
+        schema = CsvSchema.from_spec(args.schema) if args.schema else CsvSchema()
+    except ValueError as exc:
+        raise _UsageError(f"--schema {args.schema!r}: {exc}") from exc
     start = time.perf_counter()
     records, errors = parse_listings(Path(args.input), schema)
     t_parse = time.perf_counter() - start
@@ -200,7 +203,10 @@ def cmd_index(args) -> None:
               file=sys.stderr)
 
     result = compute_index(kept, config)
-    stats = series_metrics(result.series.values)
+    try:
+        stats = series_metrics(result.series.values)
+    except UndefinedMetricError:  # two months: an index, but no smoothness
+        stats = None
 
     out = _out_dir(args)
     series = result.series
@@ -217,7 +223,8 @@ def cmd_index(args) -> None:
         for base, prior, ratio, support in result.matrix.rows():
             writer.writerow([base, prior, repr(ratio), support])
     with open(out / "metrics.json", "w", encoding="utf-8") as handle:
-        json.dump(stats.to_dict(), handle, indent=2)
+        json.dump(stats.to_dict() if stats else
+                  dict.fromkeys(f.name for f in fields(SeriesMetrics)), handle, indent=2)
         handle.write("\n")
 
     timings = {"parse": sum(read_timings.values()), **result.timings}
@@ -236,8 +243,12 @@ def cmd_index(args) -> None:
             }
         },
     )
-    print(f"index over {len(series.months)} months, "
-          f"msm={stats.msm:.4f} sd_diffs={stats.std_dev_diffs:.4f}")
+    if stats is None:
+        print(f"index over {len(series.months)} months, "
+              "too short for smoothness metrics")
+    else:
+        print(f"index over {len(series.months)} months, "
+              f"msm={stats.msm:.4f} sd_diffs={stats.std_dev_diffs:.4f}")
 
 
 def _read_series_csv(path: Path) -> tuple[list[str], list[float]]:
@@ -306,29 +317,42 @@ def cmd_compare(args) -> None:
     _write_manifest(out, "compare", {"names": names}, paths, outputs, {})
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(w) for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
 def _parse_mix(text: str) -> tuple[tuple[float, ...], ...]:
-    rows = []
-    for row_text in text.split(";"):
-        rows.append(tuple(float(w) for w in row_text.split(",")))
-    return tuple(rows)
+    return tuple(_parse_floats(row) for row in text.split(";"))
+
+
+# Each ``synth`` flag and the SynthConfig field it sets; a flag left out
+# keeps the field's default.  Values are typed by the field defaults,
+# except the tuple fields, which take the parser and help given here.
+_SYNTH_FLAGS = {
+    "--months": "months",
+    "--records-per-month": "records_per_month",
+    "--drift": "drift",
+    "--noise": "noise",
+    "--clusters": "cluster_count",
+    "--base-price": "base_price",
+    "--mix": "bedroom_mix",
+    "--premiums": "bedroom_premium",
+    "--seed": "seed",
+}
+_SYNTH_DEFAULTS = asdict(SynthConfig())
+_SYNTH_TUPLES = {
+    "bedroom_mix": (_parse_mix, "semicolon-separated rows of six weights"),
+    "bedroom_premium": (_parse_floats, "six comma-separated multipliers"),
+}
 
 
 def cmd_synth(args) -> None:
-    kwargs = dict(
-        months=args.months,
-        records_per_month=args.records_per_month,
-        drift=args.drift,
-        noise=args.noise,
-        cluster_count=args.clusters,
-        base_price=args.base_price,
-        seed=args.seed,
-    )
-    if args.mix:
-        kwargs["bedroom_mix"] = _parse_mix(args.mix)
-    if args.premiums:
-        kwargs["bedroom_premium"] = tuple(float(p) for p in args.premiums.split(","))
+    values = {name: getattr(args, name) for name in _SYNTH_FLAGS.values()}
     try:
-        config = SynthConfig(**kwargs)
+        config = SynthConfig(**{k: v for k, v in values.items() if v is not None})
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     start = time.perf_counter()
@@ -382,15 +406,9 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic listings dataset")
     p_synth.add_argument("--output-dir", required=True)
-    p_synth.add_argument("--months", type=int, default=24)
-    p_synth.add_argument("--records-per-month", type=int, default=200)
-    p_synth.add_argument("--drift", type=float, default=0.0)
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--clusters", type=int, default=5)
-    p_synth.add_argument("--base-price", type=float, default=250_000.0)
-    p_synth.add_argument("--mix", help="semicolon-separated rows of six weights")
-    p_synth.add_argument("--premiums", help="six comma-separated multipliers")
-    p_synth.add_argument("--seed", type=int, default=0)
+    for flag, name in _SYNTH_FLAGS.items():
+        parse, help_text = _SYNTH_TUPLES.get(name, (type(_SYNTH_DEFAULTS[name]), None))
+        p_synth.add_argument(flag, dest=name, type=parse, help=help_text)
     p_synth.set_defaults(func=cmd_synth)
     return parser
 

@@ -1,11 +1,11 @@
-"""Geohash encoding/decoding, parameter-extended geohashes and distances.
+"""Geohash encoding/decoding and great-circle distances.
 
 A geohash is a base-32 string built by interleaved binary bisection of
 longitude and latitude (longitude bit first).  Two geohashes sharing a
 prefix decode to nested cells, so prefix length bounds geographic
-proximity.  A parameter-extended geohash prepends categorical attribute
-characters (bedroom count, dwelling type, ...) so that prefix matching
-also matches those attributes.
+proximity.  Prepending a categorical attribute character from the same
+alphabet (the bedroom count, in the index's geohash-plus keys) makes
+prefix matching also match that attribute.
 """
 
 from __future__ import annotations
@@ -47,35 +47,6 @@ class Geohash:
         for c in self.text:
             if c not in _CHAR_INDEX:
                 raise ValueError(f"invalid geohash character {c!r}")
-
-    @property
-    def precision(self) -> int:
-        return len(self.text)
-
-
-@dataclass(frozen=True)
-class GeohashPlus:
-    """A geohash with parameter characters prepended.
-
-    Parameter characters come from the same 32-character alphabet as the
-    geohash body, so a prefix tree treats them like ordinary geohash
-    characters and attribute matching falls out of plain prefix matching.
-    """
-
-    params: str
-    base: Geohash
-
-    def __post_init__(self) -> None:
-        for c in self.params:
-            if c not in _CHAR_INDEX:
-                raise ValueError(f"invalid parameter character {c!r}")
-
-    @property
-    def text(self) -> str:
-        return self.params + self.base.text
-
-    def __len__(self) -> int:
-        return len(self.params) + self.base.precision
 
 
 def encode_geohash(point: GeoPoint, precision: int = 7) -> Geohash:
@@ -147,12 +118,6 @@ def decode_geohash(geohash: Geohash | str) -> tuple[GeoPoint, float, float]:
             even = not even
     center = GeoPoint((lat_lo + lat_hi) / 2, (lng_lo + lng_hi) / 2)
     return center, (lat_hi - lat_lo) / 2, (lng_hi - lng_lo) / 2
-
-
-def make_geohash_plus(params: str, base: Geohash | str) -> GeohashPlus:
-    """Prepend parameter characters to a geohash: ``p1..pk x1..xn``."""
-    gh = base if isinstance(base, Geohash) else Geohash(base)
-    return GeohashPlus(params, gh)
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:

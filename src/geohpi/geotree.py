@@ -13,7 +13,7 @@ live caches; treat them as read-only.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable
+from typing import AbstractSet, Any, Callable, Hashable, Iterable
 
 from .geocode import ALPHABET, GeoPoint, haversine_distance
 
@@ -26,14 +26,6 @@ class KeyLengthMismatch(ValueError):
 
 class EmptyTreeError(LookupError):
     """Raised when querying a tree that holds no records."""
-
-
-def _id_set(exclude: Any) -> frozenset:
-    if not exclude:
-        return frozenset()
-    if isinstance(exclude, str):
-        return frozenset((exclude,))
-    return frozenset(exclude)
 
 
 class _Node:
@@ -141,26 +133,27 @@ class GeoTree:
         point: GeoPoint,
         group: Hashable | None = None,
         *,
-        exclude: Any = None,
+        exclude: AbstractSet = frozenset(),
         min_population: int = 1,
     ) -> Any | None:
         """Nearest record to ``point`` among the query's group bucket.
 
         Walks to the deepest node on the key's path holding at least
         ``min_population`` records that carry the label ``group`` (or any
-        label when ``group`` is None) and are not in ``exclude``; within
-        that bucket the record with the smallest great-circle distance
-        wins, ties broken by smallest id.  Falls back to the root bucket
-        when no node meets the threshold; returns None only when no
-        matching record exists at all.
+        label when ``group`` is None) and whose ids are not in the set
+        ``exclude``; within that bucket the record with the smallest
+        great-circle distance wins, ties broken by smallest id.  Falls back
+        to the root bucket when no node meets the threshold; returns None
+        only when no matching record exists at all.
         """
         if group is not None and self.group_key is None:
             raise ValueError("tree was built without a group_key")
-        excluded = _id_set(exclude)
+        if isinstance(exclude, str):  # `in` would match substrings of it
+            raise TypeError("exclude must be a set of ids, not a str")
 
         def members(node: _Node) -> list:
             found = node.cache if group is None else node.groups.get(group, [])
-            return [r for r in found if r.id not in excluded] if excluded else found
+            return [r for r in found if r.id not in exclude] if exclude else found
 
         candidates, _ = self._scb(key, members, min_population)
         if not candidates:

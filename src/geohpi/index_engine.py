@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .geocode import encode_geohash
 from .geotree import GeoTree
-from .ingestion import ListingRecord
+from .ingestion import ListingRecord, add_months
 
 CHAIN_MODES = ("additive", "geometric")
 
@@ -139,27 +139,6 @@ def build_tree(
     return tree
 
 
-def _k_nearest(
-    tree: GeoTree,
-    key: str,
-    record: ListingRecord,
-    k: int,
-    min_population: int,
-) -> list[ListingRecord]:
-    """The record's k nearest distinct neighbours, found one at a time."""
-    excluded = {record.id}
-    found: list[ListingRecord] = []
-    for _ in range(k):
-        neighbour = tree.nearest_in_group(
-            key, record.point, exclude=excluded, min_population=min_population
-        )
-        if neighbour is None:
-            break
-        found.append(neighbour)
-        excluded.add(neighbour.id)
-    return found
-
-
 def removal_count(fraction: float, total: int) -> int:
     # floor of the exact product; the epsilon keeps a float landing a hair
     # under an integer (0.29 * 100 == 28.999...96) from dropping one short
@@ -187,19 +166,20 @@ def voting_stage(
         return records
     votes: dict[str, int] = {r.id: 0 for r in records}
     for r in records:
-        for neighbour in _k_nearest(
-            tree, keys[r.id], r, config.votes_per_record, config.scb_min_population
-        ):
+        # the k nearest distinct neighbours, found one at a time
+        excluded = {r.id}
+        for _ in range(config.votes_per_record):
+            neighbour = tree.nearest_in_group(
+                keys[r.id], r.point, exclude=excluded,
+                min_population=config.scb_min_population,
+            )
+            if neighbour is None:
+                break
             votes[neighbour.id] += 1
+            excluded.add(neighbour.id)
     ranked = sorted(votes, key=lambda rid: (votes[rid], rid))
     removed = set(ranked[:to_remove])
     return [r for r in records if r.id not in removed]
-
-
-def _add_months(month: str, count: int) -> str:
-    year, mon = (int(part) for part in month.split("-"))
-    idx = year * 12 + (mon - 1) + count
-    return f"{idx // 12:04d}-{idx % 12 + 1:02d}"
 
 
 def month_range(records: Iterable[ListingRecord]) -> list[str]:
@@ -210,7 +190,7 @@ def month_range(records: Iterable[ListingRecord]) -> list[str]:
     months = [min(seen)]
     last = max(seen)
     while months[-1] != last:
-        months.append(_add_months(months[-1], 1))
+        months.append(add_months(months[-1], 1))
     return months
 
 

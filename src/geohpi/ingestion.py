@@ -140,6 +140,13 @@ def month_key_of(d: datetime.date) -> str:
     return f"{d.year:04d}-{d.month:02d}"
 
 
+def add_months(month: str, count: int) -> str:
+    """The ``YYYY-MM`` month ``count`` calendar months after ``month``."""
+    year, mon = (int(part) for part in month.split("-"))
+    idx = year * 12 + (mon - 1) + count
+    return f"{idx // 12:04d}-{idx % 12 + 1:02d}"
+
+
 def _opt_int(text: str | None, label: str, problems: list[str]) -> int | None:
     text = (text or "").strip()
     if not text:
@@ -231,15 +238,14 @@ def parse_listings(
 
 
 def filter_listings(
-    raw: Iterable[RawListing | ListingRecord], *, min_bedrooms: int = 1
+    raw: Iterable[RawListing | ListingRecord],
 ) -> tuple[list[ListingRecord], FiltrationReport]:
     """Apply the pruning rules in order and report per-rule rejections.
 
-    Rules: (1) missing coordinates or usable bedroom count, (2) more than
-    six bedrooms, (3) missing price, (4) price outside [10,000, 1,000,000]
-    euros (bounds inclusive).  Each record is counted under the first rule
-    it violates.  ``min_bedrooms`` lets studios (0 bedrooms) through when
-    set to 0; the default treats them as lacking bedroom data.
+    Rules: (1) missing coordinates or usable bedroom count (a studio, 0
+    bedrooms, counts as lacking bedroom data), (2) more than six bedrooms,
+    (3) missing price, (4) price outside [10,000, 1,000,000] euros (bounds
+    inclusive).  Each record is counted under the first rule it violates.
     """
     kept: list[ListingRecord] = []
     report = FiltrationReport()
@@ -247,7 +253,7 @@ def filter_listings(
         report.total += 1
         lat = r.lat
         lng = r.lng
-        if lat is None or lng is None or r.bedrooms is None or r.bedrooms < min_bedrooms:
+        if lat is None or lng is None or r.bedrooms is None or r.bedrooms < 1:
             report.missing_geo_or_bedrooms += 1
             continue
         if r.bedrooms > MAX_BEDROOMS:

@@ -18,25 +18,24 @@ class UndefinedMetricError(ValueError):
     """The series is too short for the requested measure."""
 
 
-def std_dev(series: Sequence[float], *, sample: bool = False) -> float:
-    """Population standard deviation (``sample=True`` divides by N-1)."""
+def std_dev(series: Sequence[float]) -> float:
+    """Population standard deviation (divides by N)."""
     n = len(series)
     if n < 2:
         raise UndefinedMetricError("std_dev needs at least 2 values")
     mean = sum(series) / n
-    divisor = n - 1 if sample else n
-    return math.sqrt(sum((x - mean) ** 2 for x in series) / divisor)
+    return math.sqrt(sum((x - mean) ** 2 for x in series) / n)
 
 
 def _differences(series: Sequence[float]) -> list[float]:
     return [series[i + 1] - series[i] for i in range(len(series) - 1)]
 
 
-def std_dev_differences(series: Sequence[float], *, sample: bool = False) -> float:
+def std_dev_differences(series: Sequence[float]) -> float:
     """Standard deviation of the first differences of the series."""
     if len(series) < 3:
         raise UndefinedMetricError("std_dev_differences needs at least 3 values")
-    return std_dev(_differences(series), sample=sample)
+    return std_dev(_differences(series))
 
 
 def mean_spike_magnitude(series: Sequence[float]) -> tuple[float, int]:
@@ -78,12 +77,12 @@ class SeriesMetrics:
         }
 
 
-def series_metrics(series: Sequence[float], *, sample: bool = False) -> SeriesMetrics:
+def series_metrics(series: Sequence[float]) -> SeriesMetrics:
     """All three smoothness measures of one series."""
     msm, spikes = mean_spike_magnitude(series)
     return SeriesMetrics(
-        std_dev=std_dev(series, sample=sample),
-        std_dev_diffs=std_dev_differences(series, sample=sample),
+        std_dev=std_dev(series),
+        std_dev_diffs=std_dev_differences(series),
         msm=msm,
         spike_count=spikes,
     )

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .geocode import GeoPoint
-from .ingestion import ListingRecord, month_key_of
+from .ingestion import ListingRecord, add_months, month_key_of
 
 # Ireland-sized box; nothing downstream depends on where the clusters sit.
 _LAT_SPAN = (52.0, 55.0)
@@ -69,12 +69,6 @@ class SynthConfig:
             raise ValueError("base_price must be positive")
 
 
-def _first_day(start_month: str, offset: int) -> datetime.date:
-    year, month = (int(part) for part in start_month.split("-"))
-    idx = year * 12 + (month - 1) + offset
-    return datetime.date(idx // 12, idx % 12 + 1, 1)
-
-
 def _pick_bedrooms(rng: random.Random, row: Sequence[float]) -> int:
     roll = rng.random()
     acc = 0.0
@@ -103,7 +97,7 @@ def generate(config: SynthConfig) -> tuple[list[ListingRecord], list[float]]:
         month_level = (1.0 + config.drift) ** m
         truth.append(100.0 * month_level)
         mix_row = config.bedroom_mix[m % len(config.bedroom_mix)]
-        first_day = _first_day(config.start_month, m)
+        first_day = datetime.date.fromisoformat(add_months(config.start_month, m) + "-01")
         for i in range(config.records_per_month):
             center = centers[rng.randrange(config.cluster_count)]
             point = GeoPoint(
@@ -165,4 +159,4 @@ def write_truth_csv(truth: Sequence[float], target, start_month: str = "2015-01"
     writer = csv.writer(target)
     writer.writerow(["month", "true_level"])
     for m, level in enumerate(truth):
-        writer.writerow([month_key_of(_first_day(start_month, m)), repr(level)])
+        writer.writerow([add_months(start_month, m), repr(level)])

@@ -1,11 +1,13 @@
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
-from geohpi.cli import main
+from geohpi.cli import _SYNTH_FLAGS, main
+from geohpi.synthgen import SynthConfig
 
-from helpers import filtration_fixture_raw, write_raw_csv
+from helpers import filtration_fixture_raw, make_raw, write_raw_csv
 
 
 def run(*argv):
@@ -46,6 +48,46 @@ class TestSynth:
         assert "sum" in capsys.readouterr().err
         assert not (out / "listings.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--mix", "0,0,x,0,0,0"), ("--premiums", "1,x")]
+    )
+    def test_unparseable_tuple_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        assert run("synth", "--output-dir", str(out), flag, value) == 1
+        err = capsys.readouterr().err
+        assert flag in err and value in err
+        assert not out.exists()
+
+    def test_every_flag_sets_its_field(self, tmp_path):
+        expected = {
+            "months": 5,
+            "records_per_month": 12,
+            "drift": 0.01,
+            "noise": 0.02,
+            "cluster_count": 2,
+            "base_price": 300_000.0,
+            "bedroom_mix": [[0.0, 0.5, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]],
+            "bedroom_premium": [1.0, 1.1, 1.2, 1.3, 1.4, 1.5],
+            "seed": 3,
+        }
+        values = {
+            "--mix": "0,0.5,0.5,0,0,0;0,0,1,0,0,0",
+            "--premiums": "1,1.1,1.2,1.3,1.4,1.5",
+        }
+        assert set(_SYNTH_FLAGS.values()) == set(expected)
+        argv = ["synth", "--output-dir", str(tmp_path / "out")]
+        for flag, name in _SYNTH_FLAGS.items():
+            argv += [flag, values.get(flag, str(expected[name]))]
+        assert run(*argv) == 0
+        manifest = json.loads((tmp_path / "out" / "synth_manifest.json").read_text())
+        assert {k: manifest["config"][k] for k in expected} == expected
+
+    def test_unset_flags_keep_config_defaults(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("synth", "--output-dir", str(out)) == 0
+        manifest = json.loads((out / "synth_manifest.json").read_text())
+        assert manifest["config"] == json.loads(json.dumps(asdict(SynthConfig())))
+
 
 class TestIngest:
     def test_valid_fixture(self, tmp_path, capsys):
@@ -84,6 +126,18 @@ class TestIngest:
         assert "1 malformed" in capsys.readouterr().err
         errors = json.loads((out / "parse_errors.json").read_text())
         assert errors[0]["row"] == 3
+
+    @pytest.mark.parametrize("spec", ["price", "colour=x", "price="])
+    def test_malformed_schema_is_usage_error(self, tmp_path, capsys, spec):
+        src = tmp_path / "raw.csv"
+        write_raw_csv(filtration_fixture_raw(), src)
+        out = tmp_path / "o"
+        assert run("ingest", "--input", str(src), "--output-dir", str(out),
+                   "--schema", spec) == 1
+        err = capsys.readouterr().err
+        assert "--schema" in err and repr(spec) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_schema_column_is_data_error(self, tmp_path):
         src = tmp_path / "raw.csv"
@@ -215,6 +269,32 @@ class TestIndex:
         err = capsys.readouterr().err
         assert "internal error: engine exploded" in err
         assert "Traceback" in err
+
+    def test_malformed_schema_is_usage_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        out = tmp_path / "o"
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(out), "--schema", "price") == 1
+        assert "--schema 'price'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_months_write_outputs_without_metrics(self, tmp_path, capsys):
+        src = tmp_path / "two.csv"
+        write_raw_csv([make_raw(f"r{i}", lat=53.0 + 0.001 * i, price=200_000 + i,
+                                month=f"2015-0{1 + i % 2}") for i in range(6)], src)
+        out = tmp_path / "indexed"
+        assert run("index", "--input", str(src), "--output-dir", str(out)) == 0
+        assert "too short for smoothness metrics" in capsys.readouterr().out
+        with open(out / "index_series.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["month"] for row in rows] == ["2015-01", "2015-02"]
+        assert (out / "ratio_matrix.csv").exists()
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics == {"std_dev": None, "std_dev_diffs": None, "msm": None,
+                           "spike_count": None}
+        manifest = json.loads((out / "index_manifest.json").read_text())
+        assert manifest["outputs"] == ["index_series.csv", "ratio_matrix.csv",
+                                       "metrics.json"]
 
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         data = synth(tmp_path)

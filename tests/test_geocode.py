@@ -5,15 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geohpi.geocode import (
-    ALPHABET,
     EARTH_RADIUS_M,
     GeoPoint,
     Geohash,
-    GeohashPlus,
     decode_geohash,
     encode_geohash,
     haversine_distance,
-    make_geohash_plus,
 )
 
 points = st.builds(
@@ -79,40 +76,6 @@ class TestDecode:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             decode_geohash("")
-
-
-class TestGeohashPlus:
-    def test_params_precede_base(self):
-        assert make_geohash_plus("3", "gc7x9").text == "3gc7x9"
-
-    def test_empty_params_is_identity(self):
-        assert make_geohash_plus("", "gc7x9").text == "gc7x9"
-
-    def test_two_params(self):
-        assert make_geohash_plus("24", "s0").text == "24s0"
-
-    def test_invalid_param_char(self):
-        with pytest.raises(ValueError):
-            make_geohash_plus("a", "s0")
-
-    def test_length(self):
-        gp = make_geohash_plus("24", "s0")
-        assert len(gp) == 4
-        assert gp.base.precision == 2
-
-    @given(
-        p1=st.text(ALPHABET, min_size=2, max_size=2),
-        p2=st.text(ALPHABET, min_size=2, max_size=2),
-        b1=st.text(ALPHABET, min_size=5, max_size=5),
-        b2=st.text(ALPHABET, min_size=5, max_size=5),
-    )
-    def test_injective_for_fixed_lengths(self, p1, p2, b1, b2):
-        first = make_geohash_plus(p1, b1)
-        second = make_geohash_plus(p2, b2)
-        if (p1, b1) != (p2, b2):
-            assert first.text != second.text
-        else:
-            assert first.text == second.text
 
 
 class TestHaversine:
@@ -185,13 +148,6 @@ def test_prefix_distance_bound(a, b, shared):
 
 
 class TestGeohashType:
-    def test_precision_is_length(self):
-        assert Geohash("u4pru").precision == 5
-
     def test_rejects_bad_alphabet(self):
         with pytest.raises(ValueError):
             Geohash("hello")  # 'l' is excluded from the alphabet
-
-    def test_plus_total_length_invariant(self):
-        gp = GeohashPlus("35", Geohash("gc7x9"))
-        assert len(gp.text) == len(gp.params) + gp.base.precision

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geohpi.geocode import GeoPoint, encode_geohash, make_geohash_plus
+from geohpi.geocode import GeoPoint, encode_geohash
 from geohpi.geotree import EmptyTreeError, GeoTree, KeyLengthMismatch
 
 from helpers import clustered_records, make_record
@@ -177,7 +177,7 @@ class TestNearestInGroup:
                 keys[record.id],
                 record.point,
                 record.month_key,
-                exclude=record.id,
+                exclude={record.id},
             )
             expected = nearest_scan(
                 records,
@@ -190,6 +190,13 @@ class TestNearestInGroup:
             assert (found.id if found else None) == (
                 expected.id if expected else None
             )
+
+    def test_bare_string_exclude_rejected(self):
+        # "s001" as a container would exclude any id that is a substring of it
+        tree = GeoTree(5, group_key=lambda r: r.month_key)
+        tree.insert("gc7x9", make_record("s0", 53.0, -7.0, 100_000))
+        with pytest.raises(TypeError):
+            tree.nearest_in_group("gc7x9", GeoPoint(53.0, -7.0), exclude="s001")
 
     def test_group_value_without_group_key_rejected(self):
         tree = GeoTree(5)
@@ -230,25 +237,6 @@ class TestNearestInGroup:
             assert (found.id if found else None) == (
                 expected.id if expected else None
             )
-
-
-class TestParameterTransparency:
-    def test_plus_keys_behave_like_plain_keys(self):
-        rng = random.Random(43)
-        records = clustered_records(rng, 200, bedrooms=(3, 4))
-        plain = GeoTree(7, group_key=lambda r: r.month_key)
-        plus = GeoTree(7, group_key=lambda r: r.month_key)
-        keys = {}
-        for r in records:
-            base = encode_geohash(r.point, 6)
-            keys[r.id] = str(r.bedrooms) + base.text
-            plain.insert(keys[r.id], r)
-            plus.insert(make_geohash_plus(str(r.bedrooms), base).text, r)
-        for r in records[:50]:
-            got_plain = plain.scb_query(keys[r.id], min_population=3)
-            got_plus = plus.scb_query(keys[r.id], min_population=3)
-            assert [x.id for x in got_plain[0]] == [x.id for x in got_plus[0]]
-            assert got_plain[1] == got_plus[1]
 
 
 @given(

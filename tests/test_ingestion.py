@@ -13,6 +13,7 @@ from geohpi.ingestion import (
     RawListing,
     SchemaError,
     filter_listings,
+    add_months,
     month_key_of,
     parse_listings,
     write_listings_csv,
@@ -167,10 +168,6 @@ class TestFilterRules:
         _, report = filter_listings([make_raw("a", bedrooms=0)])
         assert report.missing_geo_or_bedrooms == 1
 
-    def test_zero_bedrooms_kept_when_allowed(self):
-        kept, _ = filter_listings([make_raw("a", bedrooms=0)], min_bedrooms=0)
-        assert len(kept) == 1
-
     def test_idempotent_on_survivors(self):
         kept, _ = filter_listings(filtration_fixture_raw())
         again, report = filter_listings(kept)
@@ -259,3 +256,10 @@ class TestWriteRoundTrip:
 def test_month_key_of():
     assert month_key_of(datetime.date(2015, 3, 31)) == "2015-03"
     assert month_key_of(datetime.date(2019, 12, 1)) == "2019-12"
+
+
+def test_add_months():
+    assert add_months("2015-01", 0) == "2015-01"
+    assert add_months("2015-12", 1) == "2016-01"
+    assert add_months("2015-03", 25) == "2017-04"
+    assert add_months("2015-01", -1) == "2014-12"

@@ -26,11 +26,6 @@ class TestStdDev:
     def test_classic_fixture(self):
         assert std_dev([2, 4, 4, 4, 5, 5, 7, 9]) == 2.0
 
-    def test_sample_divisor(self):
-        assert std_dev([2, 4, 4, 4, 5, 5, 7, 9], sample=True) == pytest.approx(
-            math.sqrt(32 / 7)
-        )
-
     def test_too_short(self):
         with pytest.raises(UndefinedMetricError):
             std_dev([1.0])
