@@ -33,6 +33,7 @@ from .ingestion import (
     SchemaError,
     filter_listings,
     parse_listings,
+    write_csv,
     write_listings_csv,
 )
 from .metrics import SeriesMetrics, UndefinedMetricError, series_metrics
@@ -61,6 +62,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
 def _write_manifest(
     out_dir: Path,
     command: str,
@@ -83,9 +90,7 @@ def _write_manifest(
     }
     if extra:
         manifest.update(extra)
-    with open(out_dir / f"{command}_manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    _write_json(out_dir / f"{command}_manifest.json", manifest)
 
 
 def _out_dir(args) -> Path:
@@ -115,15 +120,10 @@ def cmd_ingest(args) -> None:
     schema, kept, report, errors, timings = _read_listings(args)
     out = _out_dir(args)
     write_listings_csv(kept, out / "filtered.csv")
-    with open(out / "filtration_report.json", "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2)
-        handle.write("\n")
+    _write_json(out / "filtration_report.json", report.to_dict())
     outputs = ["filtered.csv", "filtration_report.json"]
     if errors:
-        with open(out / "parse_errors.json", "w", encoding="utf-8") as handle:
-            json.dump([{"row": e.row, "message": e.message} for e in errors], handle,
-                      indent=2)
-            handle.write("\n")
+        _write_json(out / "parse_errors.json", [asdict(e) for e in errors])
         outputs.append("parse_errors.json")
     _write_manifest(
         out,
@@ -210,22 +210,16 @@ def cmd_index(args) -> None:
 
     out = _out_dir(args)
     series = result.series
-    with open(out / "index_series.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["month", "value", "diff", "flagged"])
-        for i, month in enumerate(series.months):
-            diff = repr(series.diffs[i - 1]) if i > 0 else ""
-            writer.writerow([month, repr(series.values[i]), diff,
-                             str(series.flagged[i]).lower()])
-    with open(out / "ratio_matrix.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["base_month", "prior_month", "median_ratio", "support"])
-        for base, prior, ratio, support in result.matrix.rows():
-            writer.writerow([base, prior, repr(ratio), support])
-    with open(out / "metrics.json", "w", encoding="utf-8") as handle:
-        json.dump(stats.to_dict() if stats else
-                  dict.fromkeys(f.name for f in fields(SeriesMetrics)), handle, indent=2)
-        handle.write("\n")
+    diffs = ["", *map(repr, series.diffs)]
+    write_csv(out / "index_series.csv", ["month", "value", "diff", "flagged"],
+              ([month, repr(value), diff, str(flag).lower()] for month, value, diff, flag
+               in zip(series.months, series.values, diffs, series.flagged)))
+    write_csv(out / "ratio_matrix.csv",
+              ["base_month", "prior_month", "median_ratio", "support"],
+              ([base, prior, repr(ratio), support]
+               for base, prior, ratio, support in result.matrix.rows()))
+    _write_json(out / "metrics.json", stats.to_dict() if stats else
+                dict.fromkeys(f.name for f in fields(SeriesMetrics)))
 
     timings = {"parse": sum(read_timings.values()), **result.timings}
     _write_manifest(
@@ -296,23 +290,17 @@ def cmd_compare(args) -> None:
         print(f"{name:<28} {m.std_dev:>10.3f} {m.std_dev_diffs:>14.3f} {m.msm:>10.3f}")
 
     out = _out_dir(args)
-    with open(out / "comparison_table.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["series", "std_dev", "std_dev_diffs", "msm", "spike_count"])
-        for name, m in stats:
-            writer.writerow([name, repr(m.std_dev), repr(m.std_dev_diffs),
-                             repr(m.msm), m.spike_count])
-    with open(out / "comparison_long.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["series_name", "month", "value"])
-        for name, values in aligned:
-            for month, value in zip(aligned_months, values):
-                writer.writerow([name, month, repr(value)])
+    write_csv(out / "comparison_table.csv",
+              ["series", "std_dev", "std_dev_diffs", "msm", "spike_count"],
+              ([name, repr(m.std_dev), repr(m.std_dev_diffs), repr(m.msm), m.spike_count]
+               for name, m in stats))
+    write_csv(out / "comparison_long.csv", ["series_name", "month", "value"],
+              ([name, month, repr(value)] for name, values in aligned
+               for month, value in zip(aligned_months, values)))
     outputs = ["comparison_table.csv", "comparison_long.csv"]
     if args.svg:
         chart = render_line_chart(aligned_months, aligned)
-        with open(out / "chart.svg", "w", encoding="utf-8") as handle:
-            handle.write(chart)
+        (out / "chart.svg").write_text(chart, encoding="utf-8")
         outputs.append("chart.svg")
     _write_manifest(out, "compare", {"names": names}, paths, outputs, {})
 

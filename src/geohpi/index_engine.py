@@ -19,6 +19,7 @@ to listings with the same number of bedrooms at the first tree branch.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from statistics import median
@@ -28,7 +29,13 @@ from .geocode import encode_geohash
 from .geotree import GeoTree
 from .ingestion import ListingRecord, add_months
 
-CHAIN_MODES = ("additive", "geometric")
+# Each chain mode's (diff, apply): how two ratios give a change, and how a
+# change moves the level.
+_CHAIN_OPS = {
+    "additive": (operator.sub, operator.add),
+    "geometric": (operator.truediv, operator.mul),
+}
+CHAIN_MODES = tuple(_CHAIN_OPS)
 
 
 class VotingUndefinedError(ValueError):
@@ -239,43 +246,29 @@ def chain_index(matrix: RatioMatrix, config: IndexConfig) -> IndexSeries:
     """Chain the ratio matrix into a monthly index series based at 100.
 
     The step from month x to x+1 averages, over every earlier month both
-    bases could be compared to, the change between the two bases' ratios to
-    that earlier month.  The very first step has no shared history and uses
-    the single ratio of month 2 to month 1 directly.  Steps with fewer than
-    ``min_ratios_for_chain`` shared entries are flagged and contribute no
-    change (the first step is only flagged when its ratio is absent).
+    bases could be compared to, the change ``diff(r(x+1, m), r(x, m))``
+    between the two bases' ratios to that earlier month m.  The first step
+    has no shared history and takes the single pair ``(r(2, 1), 1.0)``
+    instead.  Steps with fewer than ``min_ratios_for_chain`` changes (one,
+    for the first step) are flagged and contribute no change.
     """
     months = matrix.months
     if len(months) < 2:
         raise ChainUndefinedError("chaining needs at least two months")
-    geometric = config.chain_mode == "geometric"
+    diff, apply = _CHAIN_OPS[config.chain_mode]
     levels = [1.0]
     flagged = [False]
     for x_idx in range(len(months) - 1):
-        nxt = months[x_idx + 1]
-        cur = months[x_idx]
-        flag = False
+        nxt, cur = months[x_idx + 1], months[x_idx]
         if x_idx == 0:
-            first = matrix.get(nxt, cur)
-            if first is None:
-                flag = True
-                step = 1.0 if geometric else 0.0
-            else:
-                step = first if geometric else first - 1.0
+            pairs, needed = [(matrix.get(nxt, cur), 1.0)], 1
         else:
-            shared: list[float] = []
-            for i in range(x_idx):
-                r_next = matrix.get(nxt, months[i])
-                r_cur = matrix.get(cur, months[i])
-                if r_next is None or r_cur is None:
-                    continue
-                shared.append(r_next / r_cur if geometric else r_next - r_cur)
-            if len(shared) < config.min_ratios_for_chain:
-                flag = True
-                step = 1.0 if geometric else 0.0
-            else:
-                step = sum(shared) / len(shared)
-        levels.append(levels[-1] * step if geometric else levels[-1] + step)
+            pairs = [(matrix.get(nxt, m), matrix.get(cur, m)) for m in months[:x_idx]]
+            needed = config.min_ratios_for_chain
+        changes = [diff(a, b) for a, b in pairs if a is not None and b is not None]
+        flag = len(changes) < needed
+        step = diff(1.0, 1.0) if flag else sum(changes) / len(changes)
+        levels.append(apply(levels[-1], step))
         flagged.append(flag)
     values = tuple(100.0 * level for level in levels)
     return IndexSeries(tuple(months), values, tuple(flagged))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import datetime
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -93,14 +94,6 @@ class ListingRecord:
     bedrooms: int
     dwelling_type: str | None = None
 
-    @property
-    def lat(self) -> float:
-        return self.point.lat
-
-    @property
-    def lng(self) -> float:
-        return self.point.lng
-
 
 @dataclass(frozen=True)
 class ParseError:
@@ -124,15 +117,7 @@ class FiltrationReport:
         return self.surviving / self.total if self.total else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "missing_geo_or_bedrooms": self.missing_geo_or_bedrooms,
-            "too_many_bedrooms": self.too_many_bedrooms,
-            "missing_price": self.missing_price,
-            "price_out_of_bounds": self.price_out_of_bounds,
-            "surviving": self.surviving,
-            "surviving_fraction": self.surviving_fraction,
-        }
+        return {**asdict(self), "surviving_fraction": self.surviving_fraction}
 
 
 def month_key_of(d: datetime.date) -> str:
@@ -147,26 +132,25 @@ def add_months(month: str, count: int) -> str:
     return f"{idx // 12:04d}-{idx % 12 + 1:02d}"
 
 
-def _opt_int(text: str | None, label: str, problems: list[str]) -> int | None:
+def _opt_number(text: str | None, convert, label: str, problems: list[str]):
+    """``convert(text)``; None when blank or malformed, with the problem noted."""
     text = (text or "").strip()
     if not text:
         return None
     try:
-        return int(text)
+        return convert(text)
     except ValueError:
-        problems.append(f"non-numeric {label} {text!r}")
+        problems.append(f"{label} {text!r} is not a whole number"
+                        if convert is int and _is_finite_float(text)
+                        else f"non-numeric {label} {text!r}")
         return None
 
 
-def _opt_float(text: str | None, label: str, problems: list[str]) -> float | None:
-    text = (text or "").strip()
-    if not text:
-        return None
+def _is_finite_float(text: str) -> bool:
     try:
-        return float(text)
+        return math.isfinite(float(text))
     except ValueError:
-        problems.append(f"non-numeric {label} {text!r}")
-        return None
+        return False
 
 
 def parse_listings(
@@ -213,14 +197,14 @@ def parse_listings(
                 list_date = datetime.date.fromisoformat(date_text)
             except ValueError:
                 problems.append(f"bad date {date_text!r}")
-        price = _opt_int(row.get(schema.price), "price", problems)
-        lat = _opt_float(row.get(schema.lat), "latitude", problems)
-        lng = _opt_float(row.get(schema.lng), "longitude", problems)
+        price = _opt_number(row.get(schema.price), int, "price", problems)
+        lat = _opt_number(row.get(schema.lat), float, "latitude", problems)
+        lng = _opt_number(row.get(schema.lng), float, "longitude", problems)
         if lat is not None and not -90.0 <= lat <= 90.0:
             problems.append(f"latitude {lat!r} out of range")
         if lng is not None and not -180.0 <= lng <= 180.0:
             problems.append(f"longitude {lng!r} out of range")
-        bedrooms = _opt_int(row.get(schema.bedrooms), "bedrooms", problems)
+        bedrooms = _opt_number(row.get(schema.bedrooms), int, "bedrooms", problems)
         if bedrooms is not None and bedrooms < 0:
             problems.append(f"negative bedroom count {bedrooms!r}")
         dwelling = None
@@ -238,9 +222,9 @@ def parse_listings(
 
 
 def filter_listings(
-    raw: Iterable[RawListing | ListingRecord],
+    raw: Iterable[RawListing],
 ) -> tuple[list[ListingRecord], FiltrationReport]:
-    """Apply the pruning rules in order and report per-rule rejections.
+    """Apply the pruning rules to parsed rows and report per-rule rejections.
 
     Rules: (1) missing coordinates or usable bedroom count (a studio, 0
     bedrooms, counts as lacking bedroom data), (2) more than six bedrooms,
@@ -251,9 +235,7 @@ def filter_listings(
     report = FiltrationReport()
     for r in raw:
         report.total += 1
-        lat = r.lat
-        lng = r.lng
-        if lat is None or lng is None or r.bedrooms is None or r.bedrooms < 1:
+        if r.lat is None or r.lng is None or r.bedrooms is None or r.bedrooms < 1:
             report.missing_geo_or_bedrooms += 1
             continue
         if r.bedrooms > MAX_BEDROOMS:
@@ -266,21 +248,29 @@ def filter_listings(
             report.price_out_of_bounds += 1
             continue
         report.surviving += 1
-        if isinstance(r, ListingRecord):
-            kept.append(r)
-        else:
-            kept.append(
-                ListingRecord(
-                    id=r.id,
-                    list_date=r.list_date,
-                    month_key=month_key_of(r.list_date),
-                    price=float(r.price),
-                    point=GeoPoint(lat, lng),
-                    bedrooms=r.bedrooms,
-                    dwelling_type=r.dwelling_type,
-                )
+        kept.append(
+            ListingRecord(
+                id=r.id,
+                list_date=r.list_date,
+                month_key=month_key_of(r.list_date),
+                price=float(r.price),
+                point=GeoPoint(r.lat, r.lng),
+                bedrooms=r.bedrooms,
+                dwelling_type=r.dwelling_type,
             )
+        )
     return kept, report
+
+
+def write_csv(target, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row and then ``rows`` as CSV to a path or a text stream."""
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            write_csv(handle, header, rows)
+        return
+    writer = csv.writer(target)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_listings_csv(
@@ -291,25 +281,12 @@ def write_listings_csv(
     Prices are written as integer euros (rounded when a synthetic price is
     fractional).
     """
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_listings_csv(records, handle, schema)
-        return
     columns = [schema.id, schema.date, schema.price, schema.lat, schema.lng,
-               schema.bedrooms]
-    if schema.dwelling_type is not None:
-        columns.append(schema.dwelling_type)
-    writer = csv.writer(target)
-    writer.writerow(columns)
-    for r in records:
-        row = [
-            r.id,
-            r.list_date.isoformat(),
-            str(int(round(r.price))),
-            repr(r.point.lat),
-            repr(r.point.lng),
-            str(r.bedrooms),
-        ]
-        if schema.dwelling_type is not None:
-            row.append(r.dwelling_type or "")
-        writer.writerow(row)
+               schema.bedrooms, schema.dwelling_type]
+    rows = ([r.id, r.list_date.isoformat(), str(int(round(r.price))),
+             repr(r.point.lat), repr(r.point.lng), str(r.bedrooms),
+             r.dwelling_type or ""] for r in records)
+    if schema.dwelling_type is None:  # no type column: drop the last field
+        columns.pop()
+        rows = (row[:-1] for row in rows)
+    write_csv(target, columns, rows)

@@ -10,7 +10,7 @@ flips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 
@@ -69,12 +69,7 @@ class SeriesMetrics:
     spike_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "std_dev": self.std_dev,
-            "std_dev_diffs": self.std_dev_diffs,
-            "msm": self.msm,
-            "spike_count": self.spike_count,
-        }
+        return asdict(self)
 
 
 def series_metrics(series: Sequence[float]) -> SeriesMetrics:

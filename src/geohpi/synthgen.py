@@ -10,16 +10,14 @@ dataset byte for byte.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .geocode import GeoPoint
-from .ingestion import ListingRecord, add_months, month_key_of
+from .ingestion import ListingRecord, add_months, month_key_of, write_csv
 
 # Ireland-sized box; nothing downstream depends on where the clusters sit.
 _LAT_SPAN = (52.0, 55.0)
@@ -152,11 +150,5 @@ def mix_shift_config(seed: int, months: int = 16, records_per_month: int = 140) 
 
 def write_truth_csv(truth: Sequence[float], target, start_month: str = "2015-01") -> None:
     """Write the per-month true level as ``month,true_level`` rows."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_truth_csv(truth, handle, start_month)
-        return
-    writer = csv.writer(target)
-    writer.writerow(["month", "true_level"])
-    for m, level in enumerate(truth):
-        writer.writerow([add_months(start_month, m), repr(level)])
+    rows = ([add_months(start_month, m), repr(level)] for m, level in enumerate(truth))
+    write_csv(target, ["month", "true_level"], rows)

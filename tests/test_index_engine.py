@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geohpi.index_engine import (
+    CHAIN_MODES,
     ChainUndefinedError,
     IndexConfig,
     IndexSeries,
@@ -20,10 +21,11 @@ from geohpi.index_engine import (
     removal_count,
     voting_stage,
 )
+from geohpi.ingestion import add_months
 from geohpi.synthgen import generate, mix_shift_config
 
 from helpers import clustered_records, make_record
-from oracle import matrix_scan, oracle_key, pipeline_scan, voting_scan
+from oracle import chain_scan, matrix_scan, oracle_key, pipeline_scan, voting_scan
 
 
 def keys_for(records, config):
@@ -496,3 +498,27 @@ def test_input_order_does_not_change_index(rng):
         assert result.series.values == expected.series.values
         assert result.series.flagged == expected.series.flagged
         assert result.matrix.entries == expected.matrix.entries
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Months and a lower-triangular ratio table with random holes."""
+    count = draw(st.integers(2, 10))
+    months = [add_months("2015-01", m) for m in range(count)]
+    pairs = [(months[b], months[p]) for b in range(count) for p in range(b)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    ratios = draw(st.lists(st.floats(0.25, 4.0), min_size=len(pairs),
+                           max_size=len(pairs)))
+    return months, {pair: r for pair, keep, r in zip(pairs, kept, ratios) if keep}
+
+
+@given(drawn=sparse_matrices(), mode=st.sampled_from(CHAIN_MODES),
+       needed=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_chain_matches_oracle_bit_for_bit(drawn, mode, needed):
+    months, entries = drawn
+    config = IndexConfig(min_ratios_for_chain=needed, chain_mode=mode)
+    series = chain_index(matrix_from(months, entries), config)
+    values, flagged = chain_scan(months, entries, config)
+    assert [v.hex() for v in series.values] == [v.hex() for v in values]
+    assert list(series.flagged) == flagged

@@ -127,12 +127,6 @@ class TestShape:
         assert records[0].month_key == "2015-01"
         assert records[-1].month_key == "2015-03"
 
-    def test_records_survive_filtration(self):
-        records, _ = generate(SynthConfig(months=4, records_per_month=50, noise=0.05,
-                                          seed=11))
-        _, report = filter_listings(records)
-        assert report.surviving == report.total == 200
-
     def test_mix_shift_family_is_valid_and_alternates(self):
         records, _ = generate(mix_shift_config(seed=0))
         by_month: dict[str, list[int]] = {}
