@@ -6,6 +6,11 @@ handing back a cached list: cost is independent of the number of records.
 All keys must have the same length, so the tree height equals the key
 length (geohash precision plus any prepended parameter characters).
 
+Besides the record cache, every node keeps one packed row per record,
+``(lat, lng, cos(radians(lat)), id, record)``, in per-label lists, so a
+nearest-neighbour query scores its candidates without touching the
+records.  An ungrouped tree keeps its rows under the label ``None``.
+
 The tree is write-once: build it, then query it.  Deletion and rebalancing
 are deliberately unsupported, and the lists returned by queries are the
 live caches; treat them as read-only.
@@ -13,11 +18,15 @@ live caches; treat them as read-only.
 
 from __future__ import annotations
 
+from math import cos, radians, sin
 from typing import AbstractSet, Any, Callable, Hashable, Iterable
 
 from .geocode import ALPHABET, GeoPoint, haversine_distance
 
 _ALPHABET_SET = frozenset(ALPHABET)
+# Rows whose haversine term is within this relative margin of the least one
+# are compared again in metres; see _nearest_row.
+_H_MARGIN = 1.0 + 1e-9
 
 
 class KeyLengthMismatch(ValueError):
@@ -41,13 +50,40 @@ def _cache(node: _Node) -> list:
     return node.cache
 
 
+def _nearest_row(rows: list, point: GeoPoint) -> tuple:
+    """The row nearest to ``point`` by ``(haversine_distance, id)``.
+
+    Scores each row by the haversine term ``h``, computed in the same
+    operation order as ``haversine_distance`` so it is bit-identical to the
+    term that function would take the arcsine of.  Metres grow with ``h`` up
+    to rounding, and two different ``h`` can round to the same metres, so
+    every row within a relative margin of the least ``h``, far wider than
+    any rounding, is compared again by ``(haversine_distance, id)``.
+    """
+    if len(rows) == 1:
+        return rows[0]
+    lat, lng = point.lat, point.lng
+    cos_q = cos(radians(lat))
+    scores = [
+        sin(radians(r_lat - lat) / 2) ** 2
+        + cos_q * cos_r * sin(radians(r_lng - lng) / 2) ** 2
+        for r_lat, r_lng, cos_r, _, _ in rows
+    ]
+    limit = min(scores) * _H_MARGIN
+    close = [row for row, h in zip(rows, scores) if h <= limit]
+    if len(close) == 1:
+        return close[0]
+    return min(close, key=lambda row: (haversine_distance(point, row[4].point), row[3]))
+
+
 class GeoTree:
     """Prefix tree with cached record lists at every node.
 
     ``group_key`` optionally labels each record (typically with its listing
-    month); nodes then also keep per-label lists so group-restricted
-    queries read their candidates in one dictionary lookup.  Records must
-    expose ``.id`` (orderable, unique) and ``.point`` (GeoPoint).
+    month); each node keeps its packed rows in per-label lists, so
+    group-restricted queries read their candidates in one dictionary
+    lookup.  Records must expose ``.id`` (orderable, unique) and ``.point``
+    (GeoPoint).
     """
 
     def __init__(
@@ -78,6 +114,8 @@ class GeoTree:
             if c not in _ALPHABET_SET:
                 raise ValueError(f"key character {c!r} outside the geohash alphabet")
         label = self.group_key(record) if self.group_key is not None else None
+        lat, lng = record.point.lat, record.point.lng
+        row = (lat, lng, cos(radians(lat)), record.id, record)
         nodes = [self._root]
         for c in key:
             child = nodes[-1].children.get(c)
@@ -86,8 +124,7 @@ class GeoTree:
             nodes.append(child)
         for node in nodes:
             node.cache.append(record)
-            if self.group_key is not None:
-                node.groups.setdefault(label, []).append(record)
+            node.groups.setdefault(label, []).append(row)
         self._count += 1
 
     def _scb(
@@ -152,15 +189,19 @@ class GeoTree:
             raise TypeError("exclude must be a set of ids, not a str")
 
         def members(node: _Node) -> list:
-            found = node.cache if group is None else node.groups.get(group, [])
-            return [r for r in found if r.id not in exclude] if exclude else found
+            if group is not None:
+                found = node.groups.get(group, [])
+            elif len(node.groups) == 1:
+                found = next(iter(node.groups.values()))
+            else:  # the union of the node's groups
+                return [row for rows in node.groups.values() for row in rows
+                        if row[3] not in exclude]
+            return [row for row in found if row[3] not in exclude] if exclude else found
 
         candidates, _ = self._scb(key, members, min_population)
         if not candidates:
             return None
-        return min(
-            candidates, key=lambda r: (haversine_distance(point, r.point), r.id)
-        )
+        return _nearest_row(candidates, point)[4]
 
     def walk(self) -> Iterable[tuple[int, _Node]]:
         """Yield ``(depth, node)`` over the whole tree, parents first."""

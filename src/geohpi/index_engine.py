@@ -213,32 +213,34 @@ def build_ratio_matrix(
     earlier month is found through the tree and the price ratio
     record/neighbour is collected; the entry is the median of those ratios
     (mean of the two central values for even counts).  Month pairs with no
-    matches stay absent.
+    matches stay absent.  ``tree`` holds exactly ``records``, so an earlier
+    month without records has no neighbour to find and is not queried.
     """
     months = month_range(records)
     by_month: dict[str, list[ListingRecord]] = {m: [] for m in months}
     for r in records:
         by_month[r.month_key].append(r)
+    filled = [m for m in months if by_month[m]]
 
     entries: dict[tuple[str, str], float] = {}
     support: dict[tuple[str, str], int] = {}
-    for b_idx, base in enumerate(months):
-        ratio_lists: list[list[float]] = [[] for _ in range(b_idx)]
+    for b_idx, base in enumerate(filled):
+        ratio_lists: dict[str, list[float]] = {m: [] for m in filled[:b_idx]}
         for record in by_month[base]:
             key = keys[record.id]
-            for x_idx in range(b_idx):
+            for prior, ratios in ratio_lists.items():
                 neighbour = tree.nearest_in_group(
                     key,
                     record.point,
-                    months[x_idx],
+                    prior,
                     min_population=config.scb_min_population,
                 )
                 if neighbour is not None:
-                    ratio_lists[x_idx].append(record.price / neighbour.price)
-        for x_idx, ratios in enumerate(ratio_lists):
+                    ratios.append(record.price / neighbour.price)
+        for prior, ratios in ratio_lists.items():
             if ratios:
-                entries[(base, months[x_idx])] = median(ratios)
-                support[(base, months[x_idx])] = len(ratios)
+                entries[(base, prior)] = median(ratios)
+                support[(base, prior)] = len(ratios)
     return RatioMatrix(tuple(months), entries, support)
 
 
@@ -297,6 +299,7 @@ def compute_index(
 
     start = time.perf_counter()
     if len(survivors) < len(records):
+        del tree  # one tree alive at a time
         tree = build_tree(survivors, config, keys)
     timings["rebuild_tree"] = time.perf_counter() - start
 

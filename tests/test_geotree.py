@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -256,3 +257,56 @@ def test_cache_coherence_property(keys):
             assert Counter(r.id for r in node.cache) == child_total
         else:
             assert not node.children
+
+
+@st.composite
+def equidistant_records(draw):
+    """A query point and 2-30 records at one great-circle distance from it.
+
+    Each record's longitude is solved from its sampled latitude, so the
+    records' distances differ only by rounding: many share their metres
+    while their haversine terms differ.  Some records repeat an earlier
+    record's coordinates exactly, and ids are random, so id order is
+    unrelated to position.
+    """
+    lat0 = draw(st.floats(-60.0, 60.0))
+    lng0 = draw(st.floats(-170.0, 170.0))
+    radius = 10 ** draw(st.floats(-4.0, 0.0))  # degrees of arc, 1e-4 to 1
+    count = draw(st.integers(2, 30))
+    ids = draw(st.lists(st.integers(0, 999_999), min_size=count, max_size=count,
+                        unique=True))
+    half_arc = math.radians(radius) / 2
+    cos0 = math.cos(math.radians(lat0))
+    coords: list[tuple[float, float]] = []
+    for _ in range(count):
+        if coords and draw(st.integers(0, 3)) == 0:
+            coords.append(draw(st.sampled_from(coords)))
+            continue
+        lat = lat0 + draw(st.floats(-1.0, 1.0)) * radius
+        # haversine: sin²(arc/2) = sin²(Δφ/2) + cos φ0 cos φ sin²(Δλ/2)
+        lat_term = math.sin(math.radians(lat - lat0) / 2) ** 2
+        cos_term = cos0 * math.cos(math.radians(lat))
+        term = (math.sin(half_arc) ** 2 - lat_term) / cos_term
+        d_lng = math.degrees(2 * math.asin(math.sqrt(min(1.0, max(0.0, term)))))
+        coords.append((lat, lng0 + draw(st.sampled_from((d_lng, -d_lng)))))
+    records = [make_record(f"p{i:06d}", lat, lng, 100_000)
+               for i, (lat, lng) in zip(ids, coords)]
+    return GeoPoint(lat0, lng0), records
+
+
+@given(drawn=equidistant_records())
+@settings(max_examples=300, deadline=None)
+def test_equidistant_ties_match_linear_scan(drawn):
+    # exact metre ties between different haversine terms still go to the
+    # smallest id; excluding each winner in turn checks every rank
+    query, records = drawn
+    keys = {r.id: "0" for r in records}
+    tree = build_tree(records, keys, 1)
+    expected = nearest_scan(records, keys, "0", query, month="2015-01")
+    assert tree.nearest_in_group("0", query, "2015-01").id == expected.id
+    excluded: set[str] = set()
+    for _ in records:
+        found = tree.nearest_in_group("0", query, exclude=excluded)
+        expected = nearest_scan(records, keys, "0", query, exclude=frozenset(excluded))
+        assert found.id == expected.id
+        excluded.add(found.id)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geohpi.geotree import GeoTree
 from geohpi.index_engine import (
     CHAIN_MODES,
     ChainUndefinedError,
@@ -213,6 +214,33 @@ class TestRatioMatrix:
             assert list(matrix.months) == months
             assert matrix.entries == entries
             assert matrix.support == support
+
+    def test_stray_year_queries_only_filled_months(self, monkeypatch):
+        # one record ten years before a four-month body: the 116 empty
+        # months between them are never queried
+        rng = random.Random(8)
+        body = ("2015-01", "2015-02", "2015-03", "2015-04")
+        records = clustered_records(rng, 60, months=body)
+        records.append(make_record("stray", 53.5, -7.5, 150_000, "2005-01"))
+        config = IndexConfig()
+        keys = keys_for(records, config)
+        tree = build_tree(records, config, keys)
+        calls = []
+        nearest = GeoTree.nearest_in_group
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return nearest(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeoTree, "nearest_in_group", counted)
+        matrix = build_ratio_matrix(records, tree, config, keys)
+        filled = sorted({r.month_key for r in records})
+        assert len(calls) == sum(filled.index(r.month_key) for r in records)
+        months, entries, support = matrix_scan(records, keys, config)
+        assert list(matrix.months) == months
+        assert len(months) == 124
+        assert matrix.entries == entries
+        assert matrix.support == support
 
     def test_month_range_fills_gaps(self):
         records = [
