@@ -1,10 +1,11 @@
 """Fixed-depth prefix tree over geohash-style keys with per-node caches.
 
-Every node caches the records of its subtree, so the bucket of records
-around a key is retrieved by walking at most ``key_length`` children and
-handing back a cached list: cost is independent of the number of records.
-All keys must have the same length, so the tree height equals the key
-length (geohash precision plus any prepended parameter characters).
+The tree maps each key prefix (the root is ``""``) to a node caching the
+records of its subtree, so the bucket around a key is found in at most
+``key_length`` lookups of the key's own prefixes and handed back as a
+cached list: cost is independent of the number of records.  All keys must
+have the same length, so the tree height equals the key length (geohash
+precision plus any prepended parameter characters).
 
 Besides the record cache, every node keeps one packed row per record,
 ``(lat, lng, cos(radians(lat)), id, record)``, in per-label lists, so a
@@ -38,10 +39,9 @@ class EmptyTreeError(LookupError):
 
 
 class _Node:
-    __slots__ = ("children", "cache", "groups")
+    __slots__ = ("cache", "groups")
 
     def __init__(self) -> None:
-        self.children: dict[str, _Node] = {}
         self.cache: list = []
         self.groups: dict[Hashable, list] = {}
 
@@ -77,7 +77,7 @@ def _nearest_row(rows: list, point: GeoPoint) -> tuple:
 
 
 class GeoTree:
-    """Prefix tree with cached record lists at every node.
+    """Prefix tree with cached record lists at every node, keyed by prefix.
 
     ``group_key`` optionally labels each record (typically with its listing
     month); each node keeps its packed rows in per-label lists, so
@@ -95,11 +95,10 @@ class GeoTree:
             raise ValueError("key_length must be at least 1")
         self.key_length = key_length
         self.group_key = group_key
-        self._root = _Node()
-        self._count = 0
+        self._nodes: dict[str, _Node] = {"": _Node()}
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._nodes[""].cache)
 
     def _check_length(self, key: str) -> None:
         if len(key) != self.key_length:
@@ -108,7 +107,7 @@ class GeoTree:
             )
 
     def insert(self, key: str, record: Any) -> None:
-        """Append ``record`` to the cache of every node along ``key``'s path."""
+        """Append ``record`` to the cache of the node of every prefix of ``key``."""
         self._check_length(key)
         for c in key:  # validate before touching any node
             if c not in _ALPHABET_SET:
@@ -116,43 +115,37 @@ class GeoTree:
         label = self.group_key(record) if self.group_key is not None else None
         lat, lng = record.point.lat, record.point.lng
         row = (lat, lng, cos(radians(lat)), record.id, record)
-        nodes = [self._root]
-        for c in key:
-            child = nodes[-1].children.get(c)
-            if child is None:
-                child = nodes[-1].children[c] = _Node()
-            nodes.append(child)
-        for node in nodes:
+        nodes = self._nodes
+        for depth in range(len(key) + 1):
+            prefix = key[:depth]
+            node = nodes.get(prefix)
+            if node is None:
+                node = nodes[prefix] = _Node()
             node.cache.append(record)
             node.groups.setdefault(label, []).append(row)
-        self._count += 1
 
     def _scb(
         self, key: str, members: Callable[[_Node], list], min_population: int
     ) -> tuple[list, int]:
         """The surrounding common bucket walk shared by both queries.
 
-        Returns ``(members(node), depth)`` for the deepest node on the key's
-        path whose ``members`` number at least ``min_population``, or the
+        Returns ``(members(node), depth)`` for the longest prefix of ``key``
+        whose node's ``members`` number at least ``min_population``, or the
         root's members at depth 0 when no node qualifies.
         """
         if min_population < 1:
             raise ValueError("min_population must be at least 1")
-        if self._count == 0:
+        nodes = self._nodes
+        if not nodes[""].cache:
             raise EmptyTreeError("query on an empty tree")
         self._check_length(key)
-        node = self._root
-        nodes = [node]
-        for c in key:
-            node = node.children.get(c)
-            if node is None:
-                break
-            nodes.append(node)
-        for depth in range(len(nodes) - 1, 0, -1):
-            found = members(nodes[depth])
-            if len(found) >= min_population:
-                return found, depth
-        return members(self._root), 0
+        for depth in range(len(key), 0, -1):
+            node = nodes.get(key[:depth])
+            if node is not None:
+                found = members(node)
+                if len(found) >= min_population:
+                    return found, depth
+        return members(nodes[""]), 0
 
     def scb_query(self, key: str, min_population: int = 1) -> tuple[list, int]:
         """Return the surrounding common bucket for ``key`` and its depth.
@@ -203,11 +196,6 @@ class GeoTree:
             return None
         return _nearest_row(candidates, point)[4]
 
-    def walk(self) -> Iterable[tuple[int, _Node]]:
-        """Yield ``(depth, node)`` over the whole tree, parents first."""
-        stack = [(0, self._root)]
-        while stack:
-            depth, node = stack.pop()
-            yield depth, node
-            for child in node.children.values():
-                stack.append((depth + 1, child))
+    def walk(self) -> Iterable[tuple[str, _Node]]:
+        """Yield ``(prefix, node)`` over the whole tree, parents first."""
+        return iter(self._nodes.items())  # insert adds prefixes shortest first

@@ -258,6 +258,8 @@ def chain_index(matrix: RatioMatrix, config: IndexConfig) -> IndexSeries:
     if len(months) < 2:
         raise ChainUndefinedError("chaining needs at least two months")
     diff, apply = _CHAIN_OPS[config.chain_mode]
+    # only months some base was compared to can be shared history
+    priors = sorted({prior for _, prior in matrix.entries})
     levels = [1.0]
     flagged = [False]
     for x_idx in range(len(months) - 1):
@@ -265,7 +267,8 @@ def chain_index(matrix: RatioMatrix, config: IndexConfig) -> IndexSeries:
         if x_idx == 0:
             pairs, needed = [(matrix.get(nxt, cur), 1.0)], 1
         else:
-            pairs = [(matrix.get(nxt, m), matrix.get(cur, m)) for m in months[:x_idx]]
+            pairs = [(matrix.get(nxt, m), matrix.get(cur, m))
+                     for m in priors if m < cur]
             needed = config.min_ratios_for_chain
         changes = [diff(a, b) for a, b in pairs if a is not None and b is not None]
         flag = len(changes) < needed

@@ -97,7 +97,7 @@ class ListingRecord:
 
 @dataclass(frozen=True)
 class ParseError:
-    row: int  # 1-based line number in the file (header is row 1)
+    row: int  # 1-based file line (header is 1); a multi-line row's last line
     message: str
 
 
@@ -181,7 +181,8 @@ def parse_listings(
     records: list[RawListing] = []
     errors: list[ParseError] = []
     seen_ids: set[str] = set()
-    for row_no, row in enumerate(reader, start=2):
+    for row in reader:
+        row_no = reader.line_num  # blank lines and quoted newlines count
         problems: list[str] = []
         rid = (row.get(schema.id) or "").strip()
         if not rid:

@@ -21,9 +21,26 @@ def build_tree(records, keys, key_length, group_key=lambda r: r.month_key):
 
 
 def root_of(tree):
-    depth, node = next(iter(tree.walk()))
-    assert depth == 0
+    prefix, node = next(iter(tree.walk()))
+    assert prefix == ""
     return node
+
+
+def assert_caches_are_unions(tree):
+    """Each node's records are the multiset union of the records of the nodes
+    one character longer; walk() yields parents first and no empty node."""
+    own: dict[str, Counter] = {}
+    below: dict[str, Counter] = {}
+    for prefix, node in tree.walk():
+        assert len(prefix) <= tree.key_length
+        assert node.cache or not prefix
+        if prefix:
+            assert prefix[:-1] in own  # parents first
+            below[prefix[:-1]].update(r.id for r in node.cache)
+        own[prefix] = Counter(r.id for r in node.cache)
+        below[prefix] = Counter()
+    for prefix, ids in own.items():
+        assert below[prefix] == (ids if len(prefix) < tree.key_length else Counter())
 
 
 def random_keys(rng, records, key_length, alphabet="0123"):
@@ -67,20 +84,14 @@ class TestInsert:
         with pytest.raises(ValueError):
             tree.insert("0a0", make_record("a", 53.0, -7.0, 100_000))
         assert len(tree) == 0
-        assert root_of(tree).cache == []
-        assert root_of(tree).children == {}
+        assert [(prefix, node.cache) for prefix, node in tree.walk()] == [("", [])]
 
     def test_cache_sizes_sum_over_children(self):
         rng = random.Random(7)
         records = clustered_records(rng, 1000)
         keys = random_keys(rng, records, 6)
         tree = build_tree(records, keys, 6)
-        for depth, node in tree.walk():
-            if depth < tree.key_length:
-                child_ids = Counter(
-                    r.id for child in node.children.values() for r in child.cache
-                )
-                assert Counter(r.id for r in node.cache) == child_ids
+        assert_caches_are_unions(tree)
 
 
 class TestScbQuery:
@@ -249,14 +260,10 @@ def test_cache_coherence_property(keys):
     for i, key in enumerate(keys):
         tree.insert(key, make_record(f"r{i:03d}", 53.0, -7.0, 100_000))
     assert len(root_of(tree).cache) == len(keys)
-    for depth, node in tree.walk():
-        if depth < 4:
-            child_total = Counter(
-                r.id for child in node.children.values() for r in child.cache
-            )
-            assert Counter(r.id for r in node.cache) == child_total
-        else:
-            assert not node.children
+    assert {prefix for prefix, _ in tree.walk()} == {
+        key[:d] for key in keys for d in range(5)
+    }
+    assert_caches_are_unions(tree)
 
 
 @st.composite

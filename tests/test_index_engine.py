@@ -340,6 +340,33 @@ class TestChain:
         with pytest.raises(ChainUndefinedError):
             chain_index(matrix_from(["2015-01"], {}), IndexConfig())
 
+    @pytest.mark.parametrize("mode", CHAIN_MODES)
+    def test_long_empty_span_looks_up_only_compared_months(self, monkeypatch, mode):
+        # a mistyped year stretches the calendar to 2,400 months around six
+        # filled ones; each step looks up only the months some base was
+        # compared to, so the lookups grow with months x filled months
+        months = [add_months("1815-01", i) for i in range(2400)]
+        filled = months[:3] + months[-3:]
+        rng = random.Random(12)
+        entries = {(base, prior): rng.uniform(0.8, 1.25)
+                   for i, base in enumerate(filled) for prior in filled[:i]}
+        config = IndexConfig(min_ratios_for_chain=1, chain_mode=mode)
+        calls = 0
+        get = RatioMatrix.get
+
+        def counted(self, base, prior):
+            nonlocal calls
+            calls += 1
+            return get(self, base, prior)
+
+        monkeypatch.setattr(RatioMatrix, "get", counted)
+        series = chain_index(matrix_from(months, entries), config)
+        assert calls <= 2 * len(months) * len(filled)  # two lookups per pair
+        values, flagged = chain_scan(months, entries, config)
+        assert [v.hex() for v in series.values] == [v.hex() for v in values]
+        assert list(series.flagged) == flagged
+        assert not flagged[-1]  # the last months do chain
+
     def test_diffs_invariant(self):
         series = IndexSeries(
             ("a", "b", "c"), (100.0, 104.0, 101.0), (False, False, False)

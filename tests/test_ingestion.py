@@ -112,6 +112,21 @@ class TestParse:
         # row numbers are 1-based file lines; header is row 1
         assert sorted(e.row for e in errors) == sorted(i + 2 for i in bad_rows)
 
+    def test_row_numbers_count_blank_lines_and_quoted_newlines(self):
+        text = (
+            HEADER
+            + "g1,2015-01-15,200000,53.0,-7.0,3,house\n"              # line 2
+            + "\n"                                                     # line 3
+            + "b1,2015-01-15,not-a-price,53.0,-7.0,3,house\n"         # line 4
+            + 'g2,2015-01-15,200000,53.0,-7.0,3,"semi-\ndetached"\n'  # lines 5-6
+            + "b2,2015-01-15,200000,north,-7.0,3,house\n"             # line 7
+            + 'b3,2015-01-15,cheap,53.0,-7.0,3,"two\nline"\n'         # lines 8-9
+        )
+        records, errors = parse(text)
+        assert [r.id for r in records] == ["g1", "g2"]
+        assert records[1].dwelling_type == "semi-\ndetached"
+        assert [e.row for e in errors] == [4, 7, 9]
+
     def test_missing_mapped_column_is_schema_error(self):
         with pytest.raises(SchemaError, match="price"):
             parse("id,date,lat,lng,bedrooms,type\na,2015-01-01,1,2,3,h\n")
