@@ -8,13 +8,13 @@ long-format CSV and an SVG chart for the last seed.
 """
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from geohpi import IndexConfig, compute_index, series_metrics
+from geohpi.ingestion import write_csv
 from geohpi.plotting import render_line_chart
 from geohpi.synthgen import generate, mix_shift_config
 
@@ -55,18 +55,16 @@ def main() -> int:
         out.mkdir(parents=True, exist_ok=True)
         plain, factored = last
         months = list(plain.months)
-        with open(out / "mix_shift_long.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["series_name", "month", "value"])
-            for name, series in (("plain", plain), ("factored", factored)):
-                for month, value in zip(series.months, series.values):
-                    writer.writerow([name, month, repr(value)])
+        write_csv(out / "mix_shift_long.csv", ["series_name", "month", "value"],
+                  ([name, month, repr(value)]
+                   for name, series in (("plain", plain), ("factored", factored))
+                   for month, value in zip(series.months, series.values)))
         chart = render_line_chart(
             months,
             [("plain", list(plain.values)), ("factored", list(factored.values))],
             title="mix-shift family: plain vs bedroom-factored",
         )
-        (out / "mix_shift.svg").write_text(chart)
+        (out / "mix_shift.svg").write_text(chart, encoding="utf-8")
         print(f"wrote {out / 'mix_shift_long.csv'} and {out / 'mix_shift.svg'}")
     return 0
 

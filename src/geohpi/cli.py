@@ -99,6 +99,18 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _read_input(read, path: Path, *args):
+    """``read(path, *args)``, reporting a non-UTF-8 or unreadable file as a DataError."""
+    try:
+        return read(path, *args)
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's current chunk, not the file start
+        raise DataError(f"{path}: not UTF-8 text "
+                        f"(byte 0x{exc.object[exc.start]:02x} cannot be decoded)") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
 def _read_listings(args) -> tuple:
     """Parse and filter ``args.input``: (schema, kept, report, errors, timings)."""
     try:
@@ -106,7 +118,7 @@ def _read_listings(args) -> tuple:
     except ValueError as exc:
         raise _UsageError(f"--schema {args.schema!r}: {exc}") from exc
     start = time.perf_counter()
-    records, errors = parse_listings(Path(args.input), schema)
+    records, errors = _read_input(parse_listings, Path(args.input), schema)
     t_parse = time.perf_counter() - start
     start = time.perf_counter()
     kept, report = filter_listings(records)
@@ -268,7 +280,7 @@ def cmd_compare(args) -> None:
     names = args.names.split(",") if args.names else [p.stem for p in paths]
     if len(names) != len(paths):
         raise _UsageError("--names must list one name per series")
-    loaded = [_read_series_csv(p) for p in paths]
+    loaded = [_read_input(_read_series_csv, p) for p in paths]
     common = set(loaded[0][0])
     for months, _ in loaded[1:]:
         common &= set(months)

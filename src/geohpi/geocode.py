@@ -21,7 +21,7 @@ MAX_PRECISION = 12
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A latitude/longitude pair in decimal degrees."""
 

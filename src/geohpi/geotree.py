@@ -8,9 +8,9 @@ have the same length, so the tree height equals the key length (geohash
 precision plus any prepended parameter characters).
 
 Besides the record cache, every node keeps one packed row per record,
-``(lat, lng, cos(radians(lat)), id, record)``, in per-label lists, so a
-nearest-neighbour query scores its candidates without touching the
-records.  An ungrouped tree keeps its rows under the label ``None``.
+``(lat, lng, cos(radians(lat)), id, record)``, all in insertion order under
+the label ``None`` and, in a tree with a ``group_key``, again per label, so
+a nearest-neighbour query scores one list without touching the records.
 
 The tree is write-once: build it, then query it.  Deletion and rebalancing
 are deliberately unsupported, and the lists returned by queries are the
@@ -20,7 +20,7 @@ live caches; treat them as read-only.
 from __future__ import annotations
 
 from math import cos, radians, sin
-from typing import AbstractSet, Any, Callable, Hashable, Iterable
+from typing import AbstractSet, Any, Callable, Hashable, Iterable, Iterator
 
 from .geocode import ALPHABET, GeoPoint, haversine_distance
 
@@ -43,11 +43,7 @@ class _Node:
 
     def __init__(self) -> None:
         self.cache: list = []
-        self.groups: dict[Hashable, list] = {}
-
-
-def _cache(node: _Node) -> list:
-    return node.cache
+        self.groups: dict[Hashable, list] = {None: []}
 
 
 def _nearest_row(rows: list, point: GeoPoint) -> tuple:
@@ -80,10 +76,9 @@ class GeoTree:
     """Prefix tree with cached record lists at every node, keyed by prefix.
 
     ``group_key`` optionally labels each record (typically with its listing
-    month); each node keeps its packed rows in per-label lists, so
-    group-restricted queries read their candidates in one dictionary
-    lookup.  Records must expose ``.id`` (orderable, unique) and ``.point``
-    (GeoPoint).
+    month); each node keeps its packed rows per label as well as all under
+    ``None``, so every query reads its candidates in one dictionary lookup.
+    Records must expose ``.id`` (orderable, unique) and ``.point`` (GeoPoint).
     """
 
     def __init__(
@@ -122,16 +117,16 @@ class GeoTree:
             if node is None:
                 node = nodes[prefix] = _Node()
             node.cache.append(record)
-            node.groups.setdefault(label, []).append(row)
+            node.groups[None].append(row)
+            if label is not None:
+                node.groups.setdefault(label, []).append(row)
 
-    def _scb(
-        self, key: str, members: Callable[[_Node], list], min_population: int
-    ) -> tuple[list, int]:
+    def _climb(self, key: str, min_population: int) -> Iterator[tuple[_Node, int]]:
         """The surrounding common bucket walk shared by both queries.
 
-        Returns ``(members(node), depth)`` for the longest prefix of ``key``
-        whose node's ``members`` number at least ``min_population``, or the
-        root's members at depth 0 when no node qualifies.
+        Yields ``(node, depth)`` for every node on the key's path, deepest
+        first and the root (depth 0) last; a query stops at the first node
+        whose list meets ``min_population`` and otherwise ends on the root.
         """
         if min_population < 1:
             raise ValueError("min_population must be at least 1")
@@ -142,10 +137,8 @@ class GeoTree:
         for depth in range(len(key), 0, -1):
             node = nodes.get(key[:depth])
             if node is not None:
-                found = members(node)
-                if len(found) >= min_population:
-                    return found, depth
-        return members(nodes[""]), 0
+                yield node, depth
+        yield nodes[""], 0
 
     def scb_query(self, key: str, min_population: int = 1) -> tuple[list, int]:
         """Return the surrounding common bucket for ``key`` and its depth.
@@ -155,7 +148,10 @@ class GeoTree:
         first ``depth`` characters with the query.  If even the root falls
         short, the root cache is returned at depth 0.
         """
-        return self._scb(key, _cache, min_population)
+        for node, depth in self._climb(key, min_population):
+            if len(node.cache) >= min_population:
+                break
+        return node.cache, depth
 
     def nearest_in_group(
         self,
@@ -180,18 +176,12 @@ class GeoTree:
             raise ValueError("tree was built without a group_key")
         if isinstance(exclude, str):  # `in` would match substrings of it
             raise TypeError("exclude must be a set of ids, not a str")
-
-        def members(node: _Node) -> list:
-            if group is not None:
-                found = node.groups.get(group, [])
-            elif len(node.groups) == 1:
-                found = next(iter(node.groups.values()))
-            else:  # the union of the node's groups
-                return [row for rows in node.groups.values() for row in rows
-                        if row[3] not in exclude]
-            return [row for row in found if row[3] not in exclude] if exclude else found
-
-        candidates, _ = self._scb(key, members, min_population)
+        for node, _ in self._climb(key, min_population):
+            candidates = node.groups.get(group, ())
+            if exclude:
+                candidates = [row for row in candidates if row[3] not in exclude]
+            if len(candidates) >= min_population:
+                break
         if not candidates:
             return None
         return _nearest_row(candidates, point)[4]

@@ -69,7 +69,7 @@ class CsvSchema:
         return replace(schema, **overrides)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawListing:
     """A structurally valid CSV row; optional fields may still be missing."""
 
@@ -82,7 +82,7 @@ class RawListing:
     dwelling_type: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListingRecord:
     """A listing that survived filtration and can enter the index."""
 
@@ -95,7 +95,7 @@ class ListingRecord:
     dwelling_type: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseError:
     row: int  # 1-based file line (header is 1); a multi-line row's last line
     message: str
@@ -274,20 +274,13 @@ def write_csv(target, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     writer.writerows(rows)
 
 
-def write_listings_csv(
-    records: Sequence[ListingRecord], target, schema: CsvSchema = CsvSchema()
-) -> None:
-    """Write records in the same CSV shape ``parse_listings`` consumes.
+def write_listings_csv(records: Sequence[ListingRecord], target) -> None:
+    """Write records in the CSV shape ``parse_listings`` reads by default.
 
     Prices are written as integer euros (rounded when a synthetic price is
     fractional).
     """
-    columns = [schema.id, schema.date, schema.price, schema.lat, schema.lng,
-               schema.bedrooms, schema.dwelling_type]
-    rows = ([r.id, r.list_date.isoformat(), str(int(round(r.price))),
-             repr(r.point.lat), repr(r.point.lng), str(r.bedrooms),
-             r.dwelling_type or ""] for r in records)
-    if schema.dwelling_type is None:  # no type column: drop the last field
-        columns.pop()
-        rows = (row[:-1] for row in rows)
-    write_csv(target, columns, rows)
+    write_csv(target, ["id", "date", "price", "lat", "lng", "bedrooms", "type"],
+              ([r.id, r.list_date.isoformat(), str(int(round(r.price))),
+                repr(r.point.lat), repr(r.point.lng), str(r.bedrooms),
+                r.dwelling_type or ""] for r in records))

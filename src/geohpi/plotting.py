@@ -32,6 +32,10 @@ def render_line_chart(
     title: str = "index comparison",
 ) -> str:
     """Render one polyline per (name, values) series over shared months."""
+    # imported here: xml.sax loads urllib.request and ssl, several MB that
+    # every other command would carry
+    from xml.sax.saxutils import escape
+
     if not months or not series:
         raise ValueError("nothing to plot")
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
@@ -53,7 +57,7 @@ def render_line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="16" text-anchor="middle">{title}</text>',
+        f'<text x="{_WIDTH / 2:.1f}" y="16" text-anchor="middle">{escape(title)}</text>',
     ]
     for tick in _ticks(lo, hi):
         y = y_at(tick)
@@ -69,7 +73,7 @@ def render_line_chart(
         x = x_at(i)
         parts.append(
             f'<text x="{x:.1f}" y="{_HEIGHT - _MARGIN_BOTTOM + 18}" '
-            f'text-anchor="middle">{months[i]}</text>'
+            f'text-anchor="middle">{escape(months[i])}</text>'
         )
     parts.append(
         f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" '
@@ -92,6 +96,6 @@ def render_line_chart(
             f'<line x1="{_WIDTH - 180}" y1="{legend_y:.1f}" x2="{_WIDTH - 156}" '
             f'y2="{legend_y:.1f}" stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{_WIDTH - 150}" y="{legend_y + 4:.1f}">{name}</text>')
+        parts.append(f'<text x="{_WIDTH - 150}" y="{legend_y + 4:.1f}">{escape(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

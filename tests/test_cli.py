@@ -1,6 +1,10 @@
 import csv
 import json
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -303,6 +307,39 @@ class TestIndex:
                    "--removal-fraction", "1.5") == 1
 
 
+_LATIN1_LISTINGS = "id,date,price,lat,lng,bedrooms,type\nr1,2015-01-15,200000,53.3,-6.2,3,Cabú\n"
+_LATIN1_SERIES = "month,value\n2015-01,100\n2015-02,10ú\n"
+
+
+class TestUnreadableInput:
+    """A non-UTF-8 or unreadable input is a data error naming the file."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (("ingest", "--input"), _LATIN1_LISTINGS),
+        (("index", "--input"), _LATIN1_LISTINGS),
+        (("compare",), _LATIN1_SERIES),
+    ], ids=["ingest", "index", "compare"])
+    def test_latin1_input_is_data_error(self, tmp_path, capsys, argv, text):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "o"
+        assert run(*argv, str(src), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {src}: not UTF-8 text (byte 0xfa cannot be decoded)" in err
+        assert "position" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("ingest", "--input"), ("index", "--input"),
+                                      ("compare",)], ids=["ingest", "index", "compare"])
+    def test_directory_input_is_data_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run(*argv, str(tmp_path), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path}: cannot read" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def write_series(path, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -361,6 +398,15 @@ class TestCompare:
         assert chart.startswith("<svg")
         assert "polyline" in chart
 
+    def test_svg_chart_escapes_series_names(self, tmp_path):
+        a = tmp_path / "a&b<c>.csv"
+        write_series(a, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
+        out = tmp_path / "cmp"
+        assert run("compare", str(a), "--output-dir", str(out), "--svg") == 0
+        root = ElementTree.parse(out / "chart.svg").getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c>" in texts
+
     def test_names_flag(self, tmp_path):
         a = tmp_path / "a.csv"
         write_series(a, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
@@ -408,3 +454,15 @@ class TestEndToEnd:
         table = {row["series"]: row for row in csv.DictReader(open(cmp_dir / "comparison_table.csv"))}
         assert float(table["factored"]["msm"]) < float(table["plain"]["msm"])
         assert (cmp_dir / "chart.svg").exists()
+
+    def test_mix_shift_script_writes_csv_and_chart(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_mix_shift_experiment.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--seeds", "1", "--months", "4",
+             "--records-per-month", "30", "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "mix_shift.svg").exists()
+        with open(tmp_path / "mix_shift_long.csv", newline="") as handle:
+            assert next(csv.reader(handle)) == ["series_name", "month", "value"]

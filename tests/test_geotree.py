@@ -43,6 +43,25 @@ def assert_caches_are_unions(tree):
         assert below[prefix] == (ids if len(prefix) < tree.key_length else Counter())
 
 
+def assert_rows_follow_cache(tree):
+    """Every node keeps one packed row per cached record under ``None``, in
+    cache order; each label's rows are the in-order sublist of those rows
+    with that label, and an ungrouped tree keeps no other label."""
+    for _, node in tree.walk():
+        everything = node.groups[None]
+        assert [row[4] for row in everything] == node.cache
+        for lat, lng, cos_lat, rid, record in everything:
+            assert (lat, lng, cos_lat, rid) == (
+                record.point.lat, record.point.lng,
+                math.cos(math.radians(record.point.lat)), record.id)
+        if tree.group_key is None:
+            assert list(node.groups) == [None]
+        for label, rows in node.groups.items():
+            if label is not None:
+                assert rows == [row for row in everything
+                                if tree.group_key(row[4]) == label]
+
+
 def random_keys(rng, records, key_length, alphabet="0123"):
     """Random keys over a tiny alphabet so prefixes collide often."""
     return {
@@ -92,6 +111,18 @@ class TestInsert:
         keys = random_keys(rng, records, 6)
         tree = build_tree(records, keys, 6)
         assert_caches_are_unions(tree)
+
+    @pytest.mark.parametrize("group_key", [
+        None,
+        lambda r: r.month_key,
+        lambda r: r.month_key if r.bedrooms > 2 else None,  # some rows unlabelled
+    ], ids=["ungrouped", "by_month", "partly_unlabelled"])
+    def test_rows_under_none_follow_the_cache(self, group_key):
+        rng = random.Random(13)
+        records = clustered_records(rng, 300, bedrooms=(1, 2, 3, 4))
+        keys = random_keys(rng, records, 5)
+        tree = build_tree(records, keys, 5, group_key=group_key)
+        assert_rows_follow_cache(tree)
 
 
 class TestScbQuery:
