@@ -5,11 +5,16 @@ failed run leaves no partial outputs) and drops one manifest recording
 the config, input digests, outputs and stage timings.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal.
+
+A path named on the command line (input, config, series, output directory)
+that cannot be read, decoded as UTF-8, created or written is a data error,
+exit 2, naming the path.  Outputs go to a directory made at the first write.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -62,8 +67,28 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+@contextlib.contextmanager
+def _user_file(path, mode: str):
+    """Open a path the user named as UTF-8 text for ``mode`` "r" or "w" ("w" makes
+    the parent directory); a decode or OS error inside becomes a DataError naming it."""
+    path = Path(path)
+    try:
+        if mode == "w":
+            path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, mode, encoding="utf-8", newline="") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's current chunk, not the file start
+        raise DataError(f"{path}: not UTF-8 text "
+                        f"(byte 0x{exc.object[exc.start]:02x} cannot be decoded)") from exc
+    except OSError as exc:
+        action = "read" if mode == "r" else "write"
+        raise DataError(f"{exc.filename or path}: cannot {action}: "
+                        f"{exc.strerror or exc}") from exc
+
+
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _user_file(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
@@ -93,24 +118,6 @@ def _write_manifest(
     _write_json(out_dir / f"{command}_manifest.json", manifest)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _read_input(read, path: Path, *args):
-    """``read(path, *args)``, reporting a non-UTF-8 or unreadable file as a DataError."""
-    try:
-        return read(path, *args)
-    except UnicodeDecodeError as exc:
-        # exc.start counts from the decoder's current chunk, not the file start
-        raise DataError(f"{path}: not UTF-8 text "
-                        f"(byte 0x{exc.object[exc.start]:02x} cannot be decoded)") from exc
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-
-
 def _read_listings(args) -> tuple:
     """Parse and filter ``args.input``: (schema, kept, report, errors, timings)."""
     try:
@@ -118,7 +125,8 @@ def _read_listings(args) -> tuple:
     except ValueError as exc:
         raise _UsageError(f"--schema {args.schema!r}: {exc}") from exc
     start = time.perf_counter()
-    records, errors = _read_input(parse_listings, Path(args.input), schema)
+    with _user_file(args.input, "r") as handle:
+        records, errors = parse_listings(handle, schema)
     t_parse = time.perf_counter() - start
     start = time.perf_counter()
     kept, report = filter_listings(records)
@@ -130,8 +138,9 @@ def _read_listings(args) -> tuple:
 
 def cmd_ingest(args) -> None:
     schema, kept, report, errors, timings = _read_listings(args)
-    out = _out_dir(args)
-    write_listings_csv(kept, out / "filtered.csv")
+    out = Path(args.output_dir)
+    with _user_file(out / "filtered.csv", "w") as handle:
+        write_listings_csv(kept, handle)
     _write_json(out / "filtration_report.json", report.to_dict())
     outputs = ["filtered.csv", "filtration_report.json"]
     if errors:
@@ -177,7 +186,7 @@ def _parse_value(key: str, text: str):
 
 def _read_config_file(path: str) -> dict:
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with _user_file(path, "r") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -220,27 +229,27 @@ def cmd_index(args) -> None:
     except UndefinedMetricError:  # two months: an index, but no smoothness
         stats = None
 
-    out = _out_dir(args)
+    out = Path(args.output_dir)
     series = result.series
     diffs = ["", *map(repr, series.diffs)]
-    write_csv(out / "index_series.csv", ["month", "value", "diff", "flagged"],
-              ([month, repr(value), diff, str(flag).lower()] for month, value, diff, flag
-               in zip(series.months, series.values, diffs, series.flagged)))
-    write_csv(out / "ratio_matrix.csv",
-              ["base_month", "prior_month", "median_ratio", "support"],
-              ([base, prior, repr(ratio), support]
-               for base, prior, ratio, support in result.matrix.rows()))
+    with _user_file(out / "index_series.csv", "w") as handle:
+        write_csv(handle, ["month", "value", "diff", "flagged"],
+                  ([month, repr(value), diff, str(flag).lower()] for month, value, diff, flag
+                   in zip(series.months, series.values, diffs, series.flagged)))
+    with _user_file(out / "ratio_matrix.csv", "w") as handle:
+        write_csv(handle, ["base_month", "prior_month", "median_ratio", "support"],
+                  ([base, prior, repr(ratio), support]
+                   for base, prior, ratio, support in result.matrix.rows()))
     _write_json(out / "metrics.json", stats.to_dict() if stats else
                 dict.fromkeys(f.name for f in fields(SeriesMetrics)))
 
-    timings = {"parse": sum(read_timings.values()), **result.timings}
     _write_manifest(
         out,
         "index",
         asdict(config),
         [Path(args.input)],
         ["index_series.csv", "ratio_matrix.csv", "metrics.json"],
-        timings,
+        {**read_timings, **result.timings},
         extra={
             "records": {
                 "parsed": report.total,
@@ -258,7 +267,7 @@ def cmd_index(args) -> None:
 
 
 def _read_series_csv(path: Path) -> tuple[list[str], list[float]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with _user_file(path, "r") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not {"month", "value"} <= set(reader.fieldnames):
             raise DataError(f"{path}: expected columns month,value")
@@ -280,7 +289,7 @@ def cmd_compare(args) -> None:
     names = args.names.split(",") if args.names else [p.stem for p in paths]
     if len(names) != len(paths):
         raise _UsageError("--names must list one name per series")
-    loaded = [_read_input(_read_series_csv, p) for p in paths]
+    loaded = [_read_series_csv(p) for p in paths]
     common = set(loaded[0][0])
     for months, _ in loaded[1:]:
         common &= set(months)
@@ -301,18 +310,20 @@ def cmd_compare(args) -> None:
     for name, m in stats:
         print(f"{name:<28} {m.std_dev:>10.3f} {m.std_dev_diffs:>14.3f} {m.msm:>10.3f}")
 
-    out = _out_dir(args)
-    write_csv(out / "comparison_table.csv",
-              ["series", "std_dev", "std_dev_diffs", "msm", "spike_count"],
-              ([name, repr(m.std_dev), repr(m.std_dev_diffs), repr(m.msm), m.spike_count]
-               for name, m in stats))
-    write_csv(out / "comparison_long.csv", ["series_name", "month", "value"],
-              ([name, month, repr(value)] for name, values in aligned
-               for month, value in zip(aligned_months, values)))
+    out = Path(args.output_dir)
+    with _user_file(out / "comparison_table.csv", "w") as handle:
+        write_csv(handle, ["series", "std_dev", "std_dev_diffs", "msm", "spike_count"],
+                  ([name, repr(m.std_dev), repr(m.std_dev_diffs), repr(m.msm), m.spike_count]
+                   for name, m in stats))
+    with _user_file(out / "comparison_long.csv", "w") as handle:
+        write_csv(handle, ["series_name", "month", "value"],
+                  ([name, month, repr(value)] for name, values in aligned
+                   for month, value in zip(aligned_months, values)))
     outputs = ["comparison_table.csv", "comparison_long.csv"]
     if args.svg:
         chart = render_line_chart(aligned_months, aligned)
-        (out / "chart.svg").write_text(chart, encoding="utf-8")
+        with _user_file(out / "chart.svg", "w") as handle:
+            handle.write(chart)
         outputs.append("chart.svg")
     _write_manifest(out, "compare", {"names": names}, paths, outputs, {})
 
@@ -358,9 +369,11 @@ def cmd_synth(args) -> None:
     start = time.perf_counter()
     records, truth = generate(config)
     t_generate = time.perf_counter() - start
-    out = _out_dir(args)
-    write_listings_csv(records, out / "listings.csv")
-    write_truth_csv(truth, out / "truth.csv", config.start_month)
+    out = Path(args.output_dir)
+    with _user_file(out / "listings.csv", "w") as handle:
+        write_listings_csv(records, handle)
+    with _user_file(out / "truth.csv", "w") as handle:
+        write_truth_csv(truth, handle, config.start_month)
     _write_manifest(
         out,
         "synth",
@@ -434,7 +447,6 @@ def main(argv=None) -> int:
         UndefinedMetricError,
         VotingUndefinedError,
         ChainUndefinedError,
-        FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Iterable, Sequence
 
-from .geocode import encode_geohash
+from .geocode import MAX_PRECISION, encode_geohash
 from .geotree import GeoTree
 from .ingestion import ListingRecord, add_months
 
@@ -63,8 +63,8 @@ class IndexConfig:
             raise ValueError("removal_fraction must be in [0, 1)")
         if self.min_ratios_for_chain < 1:
             raise ValueError("min_ratios_for_chain must be at least 1")
-        if not 1 <= self.geohash_precision <= 12:
-            raise ValueError("geohash_precision must be in [1, 12]")
+        if not 1 <= self.geohash_precision <= MAX_PRECISION:
+            raise ValueError(f"geohash_precision must be in [1, {MAX_PRECISION}]")
         if self.scb_min_population < 1:
             raise ValueError("scb_min_population must be at least 1")
         if self.chain_mode not in CHAIN_MODES:
@@ -138,9 +138,11 @@ def build_tree(
     records: Sequence[ListingRecord],
     config: IndexConfig,
     keys: dict[str, str],
+    by_month: bool = True,
 ) -> GeoTree:
-    """Build the month-grouped tree over ``records``, keyed by ``keys[id]``."""
-    tree = GeoTree(key_length(config), group_key=lambda r: r.month_key)
+    """Build the tree over ``records``, keyed by ``keys[id]``, month-grouped if ``by_month``."""
+    tree = GeoTree(key_length(config),
+                   group_key=operator.attrgetter("month_key") if by_month else None)
     for r in records:
         tree.insert(keys[r.id], r)
     return tree
@@ -293,7 +295,7 @@ def compute_index(
         raise ValueError("record ids must be unique")
 
     start = time.perf_counter()
-    tree = build_tree(records, config, keys)
+    tree = build_tree(records, config, keys, by_month=False)
     timings["build_tree"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -301,9 +303,8 @@ def compute_index(
     timings["voting"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    if len(survivors) < len(records):
-        del tree  # one tree alive at a time
-        tree = build_tree(survivors, config, keys)
+    del tree  # one tree alive at a time
+    tree = build_tree(survivors, config, keys)
     timings["rebuild_tree"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -274,6 +274,27 @@ class TestIndex:
         assert "internal error: engine exploded" in err
         assert "Traceback" in err
 
+    def test_internal_os_error_prints_traceback(self, tmp_path, capsys, monkeypatch):
+        data = synth(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise OSError("disk gremlin")
+
+        monkeypatch.setattr("geohpi.cli.compute_index", broken)
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "internal error: disk gremlin" in err
+        assert "Traceback" in err
+
+    def test_manifest_times_parse_and_filter_apart(self, tmp_path):
+        data = synth(tmp_path)
+        out = tmp_path / "indexed"
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(out)) == 0
+        timings = json.loads((out / "index_manifest.json").read_text())["timings_s"]
+        assert {"parse", "filter", "voting", "ratio_matrix"} <= set(timings)
+
     def test_malformed_schema_is_usage_error(self, tmp_path, capsys):
         data = synth(tmp_path)
         out = tmp_path / "o"
@@ -345,6 +366,55 @@ def write_series(path, rows):
         writer = csv.writer(handle)
         writer.writerow(["month", "value"])
         writer.writerows(rows)
+
+
+# Each command's file flags, in command-line order; "series" is positional.
+_FILE_FLAGS = {"ingest": ["--input", "--output-dir"],
+               "index": ["--input", "--config", "--output-dir"],
+               "compare": ["series", "--output-dir"],
+               "synth": ["--output-dir"]}
+_LATIN1_TEXT = {"--input": _LATIN1_LISTINGS, "series": _LATIN1_SERIES,
+                "--config": "# caf\u00e9\nchain_mode = geometric\n"}
+
+
+def _bad_path(tmp_path, flag, kind):
+    if kind == "latin1":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(_LATIN1_TEXT[flag].encode("latin-1"))
+        return path
+    if kind == "directory":
+        return tmp_path
+    if kind == "missing":
+        return tmp_path / "absent"
+    path = tmp_path / "plain.txt"
+    path.write_text("not a directory\n")
+    return path if kind == "file" else path / "sub"
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    (command, flag, kind)
+    for command, flags in _FILE_FLAGS.items()
+    for flag in flags
+    for kind in (["file", "under_file"] if flag == "--output-dir"
+                 else ["latin1", "directory", "missing"])
+])
+def test_bad_user_path_is_data_error_naming_it(tmp_path, capsys, command, flag, kind):
+    """Every path named on the command line that cannot be used exits 2, naming it."""
+    series = tmp_path / "series.csv"
+    write_series(series, [(f"2015-{m:02d}", 100 + m) for m in range(1, 7)])
+    config = tmp_path / "run.cfg"
+    config.write_text("chain_mode = geometric\n")
+    paths = {"--input": synth(tmp_path) / "listings.csv", "--config": config,
+             "series": series, "--output-dir": tmp_path / "out"}
+    (tmp_path / "bad").mkdir()
+    bad = paths[flag] = _bad_path(tmp_path / "bad", flag, kind)
+    argv = [command]
+    for name in _FILE_FLAGS[command]:
+        argv += [str(paths[name])] if name == "series" else [name, str(paths[name])]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err
+    assert "Traceback" not in err
 
 
 class TestCompare:
