@@ -1,14 +1,15 @@
 """Command-line entry point: ingest, index, compare, synth.
 
-Every run computes fully in memory before any file is written (so a
-failed run leaves no partial outputs) and drops one manifest recording
-the config, input digests, outputs and stage timings.
+Each run reads every input once, hashing its bytes as they are parsed, so
+the manifest's SHA-256 is of the bytes the run read, pipes included.  It
+then renders every output to UTF-8 in memory, each held there once, and
+only then makes the output directory and writes them together, the manifest
+last: a run that fails before writing leaves nothing, and a directory
+without its manifest holds no complete run.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 internal.
-
-A path named on the command line (input, config, series, output directory)
-that cannot be read, decoded as UTF-8, created or written is a data error,
-exit 2, naming the path.  Outputs go to a directory made at the first write.
+Exit codes: 0 success, 1 usage, 2 data error, 3 internal.  A path named on
+the command line that cannot be read, decoded, created or written, or an
+output that cannot be encoded as UTF-8, is a data error naming the file.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import contextlib
 import csv
 import datetime
 import hashlib
+import io
 import json
 import sys
 import time
@@ -36,6 +38,7 @@ from .index_engine import (
 from .ingestion import (
     CsvSchema,
     SchemaError,
+    _is_finite_float,
     filter_listings,
     parse_listings,
     write_csv,
@@ -59,73 +62,108 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+class _HashingReader(io.RawIOBase):
+    """A binary file's bytes, passed through unchanged and hashed as they are read."""
+
+    def __init__(self, raw) -> None:
+        self._raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:count])
+        return count
 
 
 @contextlib.contextmanager
-def _user_file(path, mode: str):
-    """Open a path the user named as UTF-8 text for ``mode`` "r" or "w" ("w" makes
-    the parent directory); a decode or OS error inside becomes a DataError naming it."""
+def _user_file(path):
+    """Open a path the user named as UTF-8 text: yield the stream and the SHA-256
+    of the bytes read from it so far; a decode or OS error inside becomes a
+    DataError naming the path."""
     path = Path(path)
     try:
-        if mode == "w":
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, mode, encoding="utf-8", newline="") as handle:
-            yield handle
+        with open(path, "rb", buffering=0) as raw:
+            hashing = _HashingReader(raw)
+            with io.TextIOWrapper(hashing, encoding="utf-8", newline="") as handle:
+                yield handle, hashing.sha256
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoder's current chunk, not the file start
         raise DataError(f"{path}: not UTF-8 text "
                         f"(byte 0x{exc.object[exc.start]:02x} cannot be decoded)") from exc
     except OSError as exc:
-        action = "read" if mode == "r" else "write"
-        raise DataError(f"{exc.filename or path}: cannot {action}: "
+        raise DataError(f"{exc.filename or path}: cannot read: "
                         f"{exc.strerror or exc}") from exc
 
 
-def _write_json(path: Path, payload) -> None:
-    with _user_file(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+class _Output(io.RawIOBase):
+    """One output rendered to UTF-8: ``content(stream)`` writes it, or ``content`` is a
+    JSON payload.  The bytes stay the chunks written, never copied to grow (on the
+    dirty_feed input a growing BytesIO raised ingest's peak RSS by 12 MB, chunks by 7)."""
+
+    def __init__(self, content) -> None:
+        self.chunks: list[bytes] = []
+        stream = io.TextIOWrapper(self, encoding="utf-8", newline="")
+        if callable(content):
+            content(stream)
+        else:
+            json.dump(content, stream, indent=2)
+            stream.write("\n")
+        stream.detach()  # flushes
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.chunks.append(bytes(data))
+        return len(data)
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    config: dict,
-    inputs: list[Path],
-    outputs: list[str],
-    timings: dict[str, float],
-    extra: dict | None = None,
-) -> None:
+def _write_run(out_dir, command: str, config: dict, inputs: list, files: dict,
+               timings: dict[str, float], **extra) -> None:
+    """Encode every output in ``files`` (name -> ``_Output`` content) and then the
+    manifest, which names them with the (path, sha256) ``inputs``, ``timings`` and
+    ``extra``; only then make ``out_dir`` and write them all, the manifest last.
+    A file that cannot be encoded or written is a DataError naming it."""
+    out_dir = Path(out_dir)
     manifest = {
         "tool": f"geohpi {__version__}",
         "command": command,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
+            timespec="seconds"),
         "config": config,
-        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
-        "outputs": outputs,
+        "inputs": [{"path": str(Path(p)), "sha256": digest.hexdigest()}
+                   for p, digest in inputs],
+        "outputs": list(files),
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    _write_json(out_dir / f"{command}_manifest.json", manifest)
+    encoded = {}
+    try:
+        for name, content in {**files, f"{command}_manifest.json": manifest}.items():
+            encoded[name] = _Output(content).chunks
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, chunks in encoded.items():
+            with open(out_dir / name, "wb") as handle:
+                handle.writelines(chunks)
+    except UnicodeEncodeError as exc:  # raised only while encoding, so ``name`` is its file
+        raise DataError(f"{out_dir / name}: cannot write "
+                        f"{exc.object[exc.start:exc.end]!r} as UTF-8") from exc
+    except OSError as exc:
+        raise DataError(f"{exc.filename or out_dir}: cannot write: "
+                        f"{exc.strerror or exc}") from exc
 
 
 def _read_listings(args) -> tuple:
-    """Parse and filter ``args.input``: (schema, kept, report, errors, timings)."""
+    """Parse and filter ``args.input``: (schema, kept, report, errors, digest, timings)."""
     try:
         schema = CsvSchema.from_spec(args.schema) if args.schema else CsvSchema()
     except ValueError as exc:
         raise _UsageError(f"--schema {args.schema!r}: {exc}") from exc
     start = time.perf_counter()
-    with _user_file(args.input, "r") as handle:
+    with _user_file(args.input) as (handle, digest):
         records, errors = parse_listings(handle, schema)
     t_parse = time.perf_counter() - start
     start = time.perf_counter()
@@ -133,28 +171,17 @@ def _read_listings(args) -> tuple:
     t_filter = time.perf_counter() - start
     if errors:
         print(f"warning: {len(errors)} malformed row(s) skipped", file=sys.stderr)
-    return schema, kept, report, errors, {"parse": t_parse, "filter": t_filter}
+    return schema, kept, report, errors, digest, {"parse": t_parse, "filter": t_filter}
 
 
 def cmd_ingest(args) -> None:
-    schema, kept, report, errors, timings = _read_listings(args)
-    out = Path(args.output_dir)
-    with _user_file(out / "filtered.csv", "w") as handle:
-        write_listings_csv(kept, handle)
-    _write_json(out / "filtration_report.json", report.to_dict())
-    outputs = ["filtered.csv", "filtration_report.json"]
+    schema, kept, report, errors, digest, timings = _read_listings(args)
+    files = {"filtered.csv": lambda handle: write_listings_csv(kept, handle),
+             "filtration_report.json": report.to_dict()}
     if errors:
-        _write_json(out / "parse_errors.json", [asdict(e) for e in errors])
-        outputs.append("parse_errors.json")
-    _write_manifest(
-        out,
-        "ingest",
-        {"schema": asdict(schema)},
-        [Path(args.input)],
-        outputs,
-        timings,
-        extra={"parse_errors": len(errors)},
-    )
+        files["parse_errors.json"] = [asdict(e) for e in errors]
+    _write_run(args.output_dir, "ingest", {"schema": asdict(schema)},
+               [(args.input, digest)], files, timings, parse_errors=len(errors))
     print(f"kept {report.surviving}/{report.total} records "
           f"({report.surviving_fraction:.1%})")
 
@@ -186,7 +213,7 @@ def _parse_value(key: str, text: str):
 
 def _read_config_file(path: str) -> dict:
     values: dict = {}
-    with _user_file(path, "r") as handle:
+    with _user_file(path) as (handle, _):
         for line_no, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -217,7 +244,7 @@ def _index_config(args) -> IndexConfig:
 
 def cmd_index(args) -> None:
     config = _index_config(args)
-    _, kept, report, _, read_timings = _read_listings(args)
+    _, kept, report, _, digest, read_timings = _read_listings(args)
     rejected = report.total - report.surviving
     if rejected:
         print(f"warning: input was not pre-filtered; {rejected} record(s) dropped",
@@ -229,35 +256,24 @@ def cmd_index(args) -> None:
     except UndefinedMetricError:  # two months: an index, but no smoothness
         stats = None
 
-    out = Path(args.output_dir)
     series = result.series
     diffs = ["", *map(repr, series.diffs)]
-    with _user_file(out / "index_series.csv", "w") as handle:
-        write_csv(handle, ["month", "value", "diff", "flagged"],
-                  ([month, repr(value), diff, str(flag).lower()] for month, value, diff, flag
-                   in zip(series.months, series.values, diffs, series.flagged)))
-    with _user_file(out / "ratio_matrix.csv", "w") as handle:
-        write_csv(handle, ["base_month", "prior_month", "median_ratio", "support"],
-                  ([base, prior, repr(ratio), support]
-                   for base, prior, ratio, support in result.matrix.rows()))
-    _write_json(out / "metrics.json", stats.to_dict() if stats else
-                dict.fromkeys(f.name for f in fields(SeriesMetrics)))
-
-    _write_manifest(
-        out,
-        "index",
-        asdict(config),
-        [Path(args.input)],
-        ["index_series.csv", "ratio_matrix.csv", "metrics.json"],
-        {**read_timings, **result.timings},
-        extra={
-            "records": {
-                "parsed": report.total,
-                "filtered": report.surviving,
-                "after_voting": result.voting.survivors,
-            }
-        },
-    )
+    files = {
+        "index_series.csv": lambda handle: write_csv(
+            handle, ["month", "value", "diff", "flagged"],
+            ([month, repr(value), diff, str(flag).lower()] for month, value, diff, flag
+             in zip(series.months, series.values, diffs, series.flagged))),
+        "ratio_matrix.csv": lambda handle: write_csv(
+            handle, ["base_month", "prior_month", "median_ratio", "support"],
+            ([base, prior, repr(ratio), support]
+             for base, prior, ratio, support in result.matrix.rows())),
+        "metrics.json": stats.to_dict() if stats else
+                        dict.fromkeys(f.name for f in fields(SeriesMetrics)),
+    }
+    _write_run(args.output_dir, "index", asdict(config), [(args.input, digest)], files,
+               {**read_timings, **result.timings},
+               records={"parsed": report.total, "filtered": report.surviving,
+                        "after_voting": result.voting.survivors})
     if stats is None:
         print(f"index over {len(series.months)} months, "
               "too short for smoothness metrics")
@@ -266,66 +282,60 @@ def cmd_index(args) -> None:
               f"msm={stats.msm:.4f} sd_diffs={stats.std_dev_diffs:.4f}")
 
 
-def _read_series_csv(path: Path) -> tuple[list[str], list[float]]:
-    with _user_file(path, "r") as handle:
-        reader = csv.DictReader(handle)
+def _read_series_csv(path: str) -> tuple[dict[str, float], object]:
+    """A ``month,value`` series file: ({month: value}, SHA-256 of its bytes)."""
+    with _user_file(path) as (handle, digest):
+        reader = csv.DictReader(handle, restval="")
         if reader.fieldnames is None or not {"month", "value"} <= set(reader.fieldnames):
             raise DataError(f"{path}: expected columns month,value")
-        months: list[str] = []
-        values: list[float] = []
+        series: dict[str, float] = {}
         for row in reader:
-            months.append(row["month"])
-            try:
-                values.append(float(row["value"]))
-            except ValueError as exc:
-                raise DataError(f"{path}: non-numeric value {row['value']!r}") from exc
-    if not months:
+            month, text = row["month"], row["value"]
+            if not _is_finite_float(text):
+                raise DataError(f"{path}:{reader.line_num}: non-numeric value {text!r}")
+            if month in series:
+                raise DataError(f"{path}:{reader.line_num}: repeated month {month!r}")
+            series[month] = float(text)
+    if not series:
         raise DataError(f"{path}: series is empty")
-    return months, values
+    return series, digest
 
 
 def cmd_compare(args) -> None:
-    paths = [Path(p) for p in args.series]
-    names = args.names.split(",") if args.names else [p.stem for p in paths]
-    if len(names) != len(paths):
+    names = args.names.split(",") if args.names else [Path(p).stem for p in args.series]
+    if len(names) != len(args.series):
         raise _UsageError("--names must list one name per series")
-    loaded = [_read_series_csv(p) for p in paths]
-    common = set(loaded[0][0])
-    for months, _ in loaded[1:]:
-        common &= set(months)
+    loaded = [_read_series_csv(p) for p in args.series]
+    common = set(loaded[0][0]).intersection(*(series for series, _ in loaded[1:]))
     if not common:
         raise DataError("series share no months")
     aligned_months = sorted(common)
-    if any(len(months) != len(aligned_months) for months, _ in loaded):
+    if any(len(series) != len(aligned_months) for series, _ in loaded):
         print(f"warning: aligned on {len(aligned_months)} shared month(s)",
               file=sys.stderr)
-    aligned: list[tuple[str, list[float]]] = []
-    for name, (months, values) in zip(names, loaded):
-        lookup = dict(zip(months, values))
-        aligned.append((name, [lookup[m] for m in aligned_months]))
+    aligned = [(name, [series[m] for m in aligned_months])
+               for name, (series, _) in zip(names, loaded)]
 
     stats = [(name, series_metrics(values)) for name, values in aligned]
-    header = f"{'series':<28} {'st_dev':>10} {'st_dev_diffs':>14} {'msm':>10}"
-    print(header)
+    files = {
+        "comparison_table.csv": lambda handle: write_csv(
+            handle, ["series", "std_dev", "std_dev_diffs", "msm", "spike_count"],
+            ([name, repr(m.std_dev), repr(m.std_dev_diffs), repr(m.msm), m.spike_count]
+             for name, m in stats)),
+        "comparison_long.csv": lambda handle: write_csv(
+            handle, ["series_name", "month", "value"],
+            ([name, month, repr(value)] for name, values in aligned
+             for month, value in zip(aligned_months, values))),
+    }
+    if args.svg:
+        files["chart.svg"] = lambda handle: handle.write(
+            render_line_chart(aligned_months, aligned))
+    inputs = [(path, digest) for path, (_, digest) in zip(args.series, loaded)]
+    _write_run(args.output_dir, "compare", {"names": names}, inputs, files, {})
+
+    print(f"{'series':<28} {'st_dev':>10} {'st_dev_diffs':>14} {'msm':>10}")
     for name, m in stats:
         print(f"{name:<28} {m.std_dev:>10.3f} {m.std_dev_diffs:>14.3f} {m.msm:>10.3f}")
-
-    out = Path(args.output_dir)
-    with _user_file(out / "comparison_table.csv", "w") as handle:
-        write_csv(handle, ["series", "std_dev", "std_dev_diffs", "msm", "spike_count"],
-                  ([name, repr(m.std_dev), repr(m.std_dev_diffs), repr(m.msm), m.spike_count]
-                   for name, m in stats))
-    with _user_file(out / "comparison_long.csv", "w") as handle:
-        write_csv(handle, ["series_name", "month", "value"],
-                  ([name, month, repr(value)] for name, values in aligned
-                   for month, value in zip(aligned_months, values)))
-    outputs = ["comparison_table.csv", "comparison_long.csv"]
-    if args.svg:
-        chart = render_line_chart(aligned_months, aligned)
-        with _user_file(out / "chart.svg", "w") as handle:
-            handle.write(chart)
-        outputs.append("chart.svg")
-    _write_manifest(out, "compare", {"names": names}, paths, outputs, {})
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -369,19 +379,10 @@ def cmd_synth(args) -> None:
     start = time.perf_counter()
     records, truth = generate(config)
     t_generate = time.perf_counter() - start
-    out = Path(args.output_dir)
-    with _user_file(out / "listings.csv", "w") as handle:
-        write_listings_csv(records, handle)
-    with _user_file(out / "truth.csv", "w") as handle:
-        write_truth_csv(truth, handle, config.start_month)
-    _write_manifest(
-        out,
-        "synth",
-        asdict(config),
-        [],
-        ["listings.csv", "truth.csv"],
-        {"generate": t_generate},
-    )
+    files = {"listings.csv": lambda handle: write_listings_csv(records, handle),
+             "truth.csv": lambda handle: write_truth_csv(truth, handle, config.start_month)}
+    _write_run(args.output_dir, "synth", asdict(config), [], files,
+               {"generate": t_generate})
     print(f"wrote {len(records)} listings over {config.months} months")
 
 

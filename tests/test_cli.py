@@ -1,5 +1,8 @@
+import ast
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -8,6 +11,7 @@ from xml.etree import ElementTree
 
 import pytest
 
+from geohpi import cli
 from geohpi.cli import _SYNTH_FLAGS, main
 from geohpi.synthgen import SynthConfig
 
@@ -142,6 +146,21 @@ class TestIngest:
         assert "--schema" in err and repr(spec) in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_piped_input_digest_is_of_the_bytes_read(self, tmp_path):
+        data = (synth(tmp_path) / "listings.csv").read_bytes()
+        out = tmp_path / "piped"
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "geohpi.cli", "ingest", "--input", "/dev/stdin",
+             "--output-dir", str(out)],
+            input=data, capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((out / "ingest_manifest.json").read_text())
+        assert manifest["inputs"] == [{"path": "/dev/stdin",
+                                       "sha256": hashlib.sha256(data).hexdigest()}]
 
     def test_bad_schema_column_is_data_error(self, tmp_path):
         src = tmp_path / "raw.csv"
@@ -477,6 +496,35 @@ class TestCompare:
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a&b<c>" in texts
 
+    def test_undecodable_name_is_data_error_writing_nothing(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        write_series(a, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
+        out = tmp_path / "o1"
+        # an argv byte that is not UTF-8 reaches the program as a lone surrogate
+        assert run("compare", str(a), "--output-dir", str(out), "--names", "\udcff") == 2
+        err = capsys.readouterr().err
+        assert f"error: {out / 'comparison_table.csv'}: cannot write '\\udcff' as UTF-8" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, line, problem", [
+        ([("2015-01", 100), ("2015-02",), ("2015-03", 102)], 3, "non-numeric value ''"),
+        ([("2015-01", 100), ("2015-02", "nan"), ("2015-03", 102)], 3,
+         "non-numeric value 'nan'"),
+        ([("2015-01", 100), ("2015-02", 101), ("2015-02", 102), ("2015-03", 103)], 4,
+         "repeated month '2015-02'"),
+    ], ids=["missing_value", "nan", "repeated_month"])
+    def test_bad_series_row_is_data_error_naming_its_line(self, tmp_path, capsys,
+                                                          rows, line, problem):
+        a = tmp_path / "a.csv"
+        write_series(a, rows)
+        out = tmp_path / "cmp"
+        assert run("compare", str(a), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {a}:{line}: {problem}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_names_flag(self, tmp_path):
         a = tmp_path / "a.csv"
         write_series(a, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
@@ -485,6 +533,55 @@ class TestCompare:
                    "--names", "control") == 0
         table = list(csv.DictReader(open(out / "comparison_table.csv")))
         assert table[0]["series"] == "control"
+
+
+def _run_argv(tmp_path, command):
+    """A run of ``command`` that writes every output it can; ingest meets a bad row."""
+    if command == "synth":
+        return ["synth", "--months", "6", "--records-per-month", "30"]
+    listings = tmp_path / "listings.csv"
+    listings.write_text((synth(tmp_path) / "listings.csv").read_text()
+                        + "bad,2015-13-01,1,2,3,4,\n")
+    series = tmp_path / "series.csv"
+    write_series(series, [(f"2015-{m:02d}", 100 + m * m) for m in range(1, 7)])
+    return {"ingest": ["ingest", "--input", str(listings)],
+            "index": ["index", "--input", str(listings)],
+            "compare": ["compare", str(series), "--svg"]}[command]
+
+
+@pytest.mark.parametrize("command", ["ingest", "index", "compare", "synth"])
+def test_output_dir_holds_exactly_the_manifest_outputs(tmp_path, command):
+    out = tmp_path / "out"
+    assert run(*_run_argv(tmp_path, command), "--output-dir", str(out)) == 0
+    manifest_name = f"{command}_manifest.json"
+    outputs = json.loads((out / manifest_name).read_text())["outputs"]
+    assert sorted(os.listdir(out)) == sorted([*outputs, manifest_name])
+    assert ("parse_errors.json" in outputs) == (command == "ingest")
+    assert ("chart.svg" in outputs) == (command == "compare")
+
+
+def test_write_failing_midway_leaves_no_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "chart.svg").mkdir(parents=True)
+    assert run(*_run_argv(tmp_path, "compare"), "--output-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {out / 'chart.svg'}: cannot write: Is a directory" in err
+    assert "Traceback" not in err
+    assert not (out / "compare_manifest.json").exists()
+
+
+def test_only_the_read_and_write_steps_touch_files():
+    """cli.py calls open, write_bytes, write_text and mkdir only inside _user_file
+    (the one read step) and _write_run (the one write step)."""
+    touching = {}
+    for top in ast.parse(Path(cli.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name in {"open", "write_bytes", "write_text", "mkdir"}:
+                    touching.setdefault(getattr(top, "name", "<module>"), set()).add(name)
+    assert set(touching) == {"_user_file", "_write_run"}, touching
 
 
 class TestUsage:
