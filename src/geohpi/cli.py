@@ -174,12 +174,24 @@ def _read_listings(args) -> tuple:
     return schema, kept, report, errors, digest, {"parse": t_parse, "filter": t_filter}
 
 
+def _write_parse_errors(errors: list, handle) -> None:
+    """``json.dump([asdict(e) for e in errors], handle, indent=2)`` and a newline,
+    rendered one error at a time so the list of dicts is never built."""
+    separator = "\n"
+    handle.write("[")
+    for error in errors:
+        handle.write(f'{separator}  {{\n    "row": {error.row},\n'
+                     f'    "message": {json.dumps(error.message)}\n  }}')
+        separator = ",\n"
+    handle.write("\n]\n" if errors else "]\n")
+
+
 def cmd_ingest(args) -> None:
     schema, kept, report, errors, digest, timings = _read_listings(args)
     files = {"filtered.csv": lambda handle: write_listings_csv(kept, handle),
              "filtration_report.json": report.to_dict()}
     if errors:
-        files["parse_errors.json"] = [asdict(e) for e in errors]
+        files["parse_errors.json"] = lambda handle: _write_parse_errors(errors, handle)
     _write_run(args.output_dir, "ingest", {"schema": asdict(schema)},
                [(args.input, digest)], files, timings, parse_errors=len(errors))
     print(f"kept {report.surviving}/{report.total} records "

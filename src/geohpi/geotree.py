@@ -8,9 +8,16 @@ have the same length, so the tree height equals the key length (geohash
 precision plus any prepended parameter characters).
 
 Besides the record cache, every node keeps one packed row per record,
-``(lat, lng, cos(radians(lat)), id, record)``, all in insertion order under
-the label ``None`` and, in a tree with a ``group_key``, again per label, so
-a nearest-neighbour query scores one list without touching the records.
+``(z, x, y, id, record)`` with ``(x, y, z)`` the point's unit vector and
+``z = sin(lat)`` first, all under the label ``None`` and, in a tree with a
+``group_key``, again per label.  A nearest-neighbour query scores the rows
+of one list by squared chord, with no trig calls.  Every row list is kept
+sorted by ``z``: an insert marks the tree unsorted, and the next
+``nearest_in_group`` sorts every list once.  The query bisects to its own
+``z`` and scans outward both ways, stopping once ``(z - qz)**2`` alone
+exceeds the limit ``(sqrt(best) * (1 + 1e-9) + 1e-12)**2`` set by the least
+chord ``best`` seen so far; rows within that limit are compared again by
+``(haversine_distance, id)``, see ``_nearest_row``.
 
 The tree is write-once: build it, then query it.  Deletion and rebalancing
 are deliberately unsupported, and the lists returned by queries are the
@@ -19,15 +26,20 @@ live caches; treat them as read-only.
 
 from __future__ import annotations
 
-from math import cos, radians, sin
+from bisect import bisect_left
+from math import cos, inf, radians, sin, sqrt
+from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Hashable, Iterable, Iterator
 
 from .geocode import ALPHABET, GeoPoint, haversine_distance
 
 _ALPHABET_SET = frozenset(ALPHABET)
-# Rows whose haversine term is within this relative margin of the least one
-# are compared again in metres; see _nearest_row.
-_H_MARGIN = 1.0 + 1e-9
+_Z = itemgetter(0)
+# Rows whose chord is within this relative margin plus this absolute one (in
+# Earth radii, about 6 micrometres) of the least chord are compared again in
+# metres; see _nearest_row.
+_REL_MARGIN = 1.0 + 1e-9
+_ABS_MARGIN = 1e-12
 
 
 class KeyLengthMismatch(ValueError):
@@ -46,30 +58,80 @@ class _Node:
         self.groups: dict[Hashable, list] = {None: []}
 
 
-def _nearest_row(rows: list, point: GeoPoint) -> tuple:
-    """The row nearest to ``point`` by ``(haversine_distance, id)``.
+def _unit_vector(point: GeoPoint) -> tuple[float, float, float]:
+    """``(z, x, y)``: the point's unit vector on the sphere, ``z = sin(lat)``."""
+    phi, lam = radians(point.lat), radians(point.lng)
+    cos_phi = cos(phi)
+    return sin(phi), cos_phi * cos(lam), cos_phi * sin(lam)
 
-    Scores each row by the haversine term ``h``, computed in the same
-    operation order as ``haversine_distance`` so it is bit-identical to the
-    term that function would take the arcsine of.  Metres grow with ``h`` up
-    to rounding, and two different ``h`` can round to the same metres, so
-    every row within a relative margin of the least ``h``, far wider than
-    any rounding, is compared again by ``(haversine_distance, id)``.
+
+def _nearest_row(rows: list, point: GeoPoint, exclude: AbstractSet) -> tuple | None:
+    """The row nearest to ``point`` by ``(haversine_distance, id)`` whose id is
+    not in ``exclude``, or None; ``rows`` must be sorted by ``z``.
+
+    Scores rows by the squared chord ``c`` between unit vectors, which grows
+    with great-circle distance, and scans outward from ``point``'s ``z`` in
+    both directions.  ``c`` is a float sum of non-negative terms, so it is
+    never below its term ``(z - qz)**2``: once that term exceeds the limit,
+    no row further out on that side can be within it, and since the limit
+    only shrinks as better rows are found the stop skips nothing.
+
+    The chord is not bit-identical to the metres, so every row within the
+    limit ``(sqrt(best) * (1 + 1e-9) + 1e-12)**2`` of the least chord
+    ``best`` is compared again by ``(haversine_distance, id)``.  Both
+    distances err by a few 1e-16 on the chord's scale (Earth radii): the
+    unit vectors by about 1e-16 per coordinate, and ``haversine_distance``
+    through its term ``h = c / 4``, which it rounds to about 1e-16.  The
+    absolute part of the margin, 1e-12, covers that sum many times over,
+    also for exact duplicates and sub-millimetre spacing, where a relative
+    margin alone would be zero or too narrow.  Near antipodes ``asin`` near
+    1 magnifies those roundings in the metres: one ulp of ``h`` below 1 is
+    0.19 m, so near-antipodal rows can tie in metres or swap order against
+    their true distance.  The chord does not magnify them: ``c = 4h``, so
+    one ulp of ``h`` moves ``c`` by about 4e-16, and every row the metres
+    could rank first still lies within the margin, where the repair orders
+    it by the metres themselves.
     """
     if len(rows) == 1:
-        return rows[0]
-    lat, lng = point.lat, point.lng
-    cos_q = cos(radians(lat))
-    scores = [
-        sin(radians(r_lat - lat) / 2) ** 2
-        + cos_q * cos_r * sin(radians(r_lng - lng) / 2) ** 2
-        for r_lat, r_lng, cos_r, _, _ in rows
-    ]
-    limit = min(scores) * _H_MARGIN
-    close = [row for row, h in zip(rows, scores) if h <= limit]
-    if len(close) == 1:
-        return close[0]
-    return min(close, key=lambda row: (haversine_distance(point, row[4].point), row[3]))
+        row = rows[0]
+        return None if row[3] in exclude else row
+    qz, qx, qy = _unit_vector(point)
+    best = limit = inf
+    close = []
+    start = bisect_left(rows, qz, key=_Z)
+    for scan in (range(start, len(rows)), range(start - 1, -1, -1)):
+        for i in scan:
+            row = rows[i]
+            z, x, y, rid, _ = row
+            dz = z - qz
+            dz2 = dz * dz
+            if dz2 > limit:
+                break
+            if rid in exclude:
+                continue
+            dx = x - qx
+            dy = y - qy
+            c = dx * dx + dy * dy + dz2
+            if c <= limit:
+                close.append((c, row))
+                if c < best:
+                    best = c
+                    limit = (sqrt(c) * _REL_MARGIN + _ABS_MARGIN) ** 2
+    close = [row for c, row in close if c <= limit]
+    if len(close) <= 1:
+        return close[0] if close else None
+    metres: dict[tuple[float, float], float] = {}
+
+    def rank(row: tuple) -> tuple:
+        # rows at one coordinate share their metres (0.0 at the query's
+        # own), so many listings at one spot cost one haversine call
+        at = row[4].point
+        coordinate = (at.lat, at.lng)
+        if coordinate not in metres:
+            metres[coordinate] = haversine_distance(point, at)
+        return metres[coordinate], row[3]
+
+    return min(close, key=rank)
 
 
 class GeoTree:
@@ -91,6 +153,7 @@ class GeoTree:
         self.key_length = key_length
         self.group_key = group_key
         self._nodes: dict[str, _Node] = {"": _Node()}
+        self._unsorted = False  # an insert since the row lists were last sorted
 
     def __len__(self) -> int:
         return len(self._nodes[""].cache)
@@ -108,9 +171,9 @@ class GeoTree:
             if c not in _ALPHABET_SET:
                 raise ValueError(f"key character {c!r} outside the geohash alphabet")
         label = self.group_key(record) if self.group_key is not None else None
-        lat, lng = record.point.lat, record.point.lng
-        row = (lat, lng, cos(radians(lat)), record.id, record)
+        row = (*_unit_vector(record.point), record.id, record)
         nodes = self._nodes
+        self._unsorted = True
         for depth in range(len(key) + 1):
             prefix = key[:depth]
             node = nodes.get(prefix)
@@ -176,15 +239,21 @@ class GeoTree:
             raise ValueError("tree was built without a group_key")
         if isinstance(exclude, str):  # `in` would match substrings of it
             raise TypeError("exclude must be a set of ids, not a str")
+        if self._unsorted:
+            for node in self._nodes.values():
+                for rows in node.groups.values():
+                    rows.sort(key=_Z)
+            self._unsorted = False
         for node, _ in self._climb(key, min_population):
-            candidates = node.groups.get(group, ())
-            if exclude:
-                candidates = [row for row in candidates if row[3] not in exclude]
-            if len(candidates) >= min_population:
+            rows = node.groups.get(group, ())
+            # excluded ids may lie outside this list, so count exactly only
+            # when the bound that assumes all of them inside falls short
+            if len(rows) >= min_population and (
+                    len(rows) - len(exclude) >= min_population
+                    or sum(row[3] not in exclude for row in rows) >= min_population):
                 break
-        if not candidates:
-            return None
-        return _nearest_row(candidates, point)[4]
+        row = _nearest_row(rows, point, exclude) if rows else None
+        return None if row is None else row[4]
 
     def walk(self) -> Iterable[tuple[str, _Node]]:
         """Yield ``(prefix, node)`` over the whole tree, parents first."""

@@ -135,6 +135,28 @@ class TestIngest:
         errors = json.loads((out / "parse_errors.json").read_text())
         assert errors[0]["row"] == 3
 
+    def test_parse_errors_json_is_json_dump_of_the_errors(self, tmp_path):
+        # written one error at a time, the file keeps json.dump's bytes,
+        # \u escapes for non-ASCII text included
+        src = tmp_path / "raw.csv"
+        src.write_text(
+            "id,date,price,lat,lng,bedrooms,type\n"
+            "a,2015-01-02,250000,53.0,-7.0,3,house\n"
+            "b,2015-01-02,prix—é,53.0,-7.0,3,house\n"
+            "c,2015-01-02,250000,53.0,-7.0,two,house\n"
+            ",2015-01-02,250000,53.0,-7.0,3,house\n"
+            "e,2015-01-02,250000,91.0,\"-7.0\",3,\"semi\n\"\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ingested"
+        assert run("ingest", "--input", str(src), "--output-dir", str(out)) == 0
+        with open(src, newline="", encoding="utf-8") as handle:
+            _, errors = cli.parse_listings(handle, cli.CsvSchema())
+        assert len(errors) == 4
+        expected = json.dumps([asdict(e) for e in errors], indent=2) + "\n"
+        assert "\\u2014" in expected
+        assert (out / "parse_errors.json").read_bytes() == expected.encode("ascii")
+
     @pytest.mark.parametrize("spec", ["price", "colour=x", "price="])
     def test_malformed_schema_is_usage_error(self, tmp_path, capsys, spec):
         src = tmp_path / "raw.csv"

@@ -44,22 +44,28 @@ def assert_caches_are_unions(tree):
 
 
 def assert_rows_follow_cache(tree):
-    """Every node keeps one packed row per cached record under ``None``, in
-    cache order; each label's rows are the in-order sublist of those rows
-    with that label, and an ungrouped tree keeps no other label."""
+    """Every node keeps one packed row per cached record under ``None``: the
+    record's unit vector ``(z, x, y)`` with ``z = sin(lat)``, its id and the
+    record.  Each label's rows are the same multiset as the ``None`` rows
+    with that label, an ungrouped tree keeps no other label, and after one
+    query every list is sorted by ``z``."""
+    tree.nearest_in_group("0" * tree.key_length, GeoPoint(0.0, 0.0))
     for _, node in tree.walk():
         everything = node.groups[None]
-        assert [row[4] for row in everything] == node.cache
-        for lat, lng, cos_lat, rid, record in everything:
-            assert (lat, lng, cos_lat, rid) == (
-                record.point.lat, record.point.lng,
-                math.cos(math.radians(record.point.lat)), record.id)
+        assert Counter(id(row[4]) for row in everything) == Counter(map(id, node.cache))
+        for z, x, y, rid, record in everything:
+            phi = math.radians(record.point.lat)
+            lam = math.radians(record.point.lng)
+            assert (z, x, y, rid) == (
+                math.sin(phi), math.cos(phi) * math.cos(lam),
+                math.cos(phi) * math.sin(lam), record.id)
         if tree.group_key is None:
             assert list(node.groups) == [None]
         for label, rows in node.groups.items():
+            assert all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
             if label is not None:
-                assert rows == [row for row in everything
-                                if tree.group_key(row[4]) == label]
+                assert Counter(map(id, rows)) == Counter(
+                    id(row) for row in everything if tree.group_key(row[4]) == label)
 
 
 def random_keys(rng, records, key_length, alphabet="0123"):
@@ -347,4 +353,90 @@ def test_equidistant_ties_match_linear_scan(drawn):
         found = tree.nearest_in_group("0", query, exclude=excluded)
         expected = nearest_scan(records, keys, "0", query, exclude=frozenset(excluded))
         assert found.id == expected.id
+        excluded.add(found.id)
+
+
+_CITIES = ((53.35, -6.26), (-33.87, 151.21), (40.71, -74.01), (35.68, 139.69),
+           (-23.55, -46.63), (-1.29, 36.82), (64.15, -21.94))
+
+
+def _antipode(lat, lng):
+    return -lat, lng - 180.0 if lng > 0.0 else lng + 180.0
+
+
+@st.composite
+def hard_layouts(draw):
+    """A query point and 2-40 records in one of four layouts that stress the
+    pruned scan and its margin: exact duplicates, sub-millimetre spacing,
+    a few points on other continents (so buckets fall back to the root), and
+    points around the query's antipode.  Ids are random, so id order is
+    unrelated to position, and records spread over two months."""
+    layout = draw(st.sampled_from(("duplicates", "sub_mm", "continents", "antipodal")))
+    count = draw(st.integers(2, 40))
+    lat0, lng0 = draw(st.floats(-80.0, 80.0)), draw(st.floats(-179.0, 179.0))
+    if layout == "duplicates":
+        spots = [(lat0, lng0)] + [
+            (lat0 + d_lat, lng0 + d_lng)
+            for d_lat, d_lng in draw(st.lists(st.tuples(st.floats(-1e-4, 1e-4),
+                                                        st.floats(-1e-4, 1e-4)),
+                                              min_size=1, max_size=3))]
+        coords = [draw(st.sampled_from(spots)) for _ in range(count)]
+        query = draw(st.sampled_from(spots))
+    elif layout == "sub_mm":
+        # a lattice around the query, some points mirrored through it, so
+        # distances tie or differ by about a nanometre
+        step = 10 ** draw(st.floats(-10.0, -8.0))  # degrees; 1e-8 is about 1 mm
+        offsets = st.integers(-5, 5)
+        coords = []
+        while len(coords) < count:
+            d_lat, d_lng = draw(offsets) * step, draw(offsets) * step
+            coords.append((lat0 + d_lat, lng0 + d_lng))
+            if draw(st.booleans()):
+                coords.append((lat0 - d_lat, lng0 - d_lng))
+        coords = coords[:count]
+        query = (lat0, lng0)
+    elif layout == "continents":
+        jitter = st.floats(-0.05, 0.05)
+        coords = [(lat + draw(jitter), lng + draw(jitter))
+                  for lat, lng in (draw(st.sampled_from(_CITIES)) for _ in range(count))]
+        lat, lng = draw(st.sampled_from(_CITIES))
+        query = (lat + draw(jitter), lng + draw(jitter))
+    else:
+        lat1, lng1 = _antipode(lat0, lng0)
+        spread = 10 ** draw(st.floats(-9.0, -3.0))  # degrees around the antipode
+        offsets = st.floats(-1.0, 1.0)
+        coords = [(lat1 + draw(offsets) * spread,
+                   max(-180.0, min(180.0, lng1 + draw(offsets) * spread)))
+                  for _ in range(count)]
+        coords = [draw(st.sampled_from(coords[:i + 1])) if draw(st.booleans()) else c
+                  for i, c in enumerate(coords)]  # some exact repeats
+        query = (lat0, lng0)
+    ids = draw(st.lists(st.integers(0, 999_999), min_size=count, max_size=count,
+                        unique=True))
+    months = draw(st.lists(st.sampled_from(("2015-01", "2015-02")),
+                           min_size=count, max_size=count))
+    records = [make_record(f"p{i:06d}", lat, lng, 100_000, month)
+               for i, (lat, lng), month in zip(ids, coords, months)]
+    return GeoPoint(*query), records
+
+
+@given(drawn=hard_layouts(), min_population=st.integers(1, 3), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_nearest_matches_linear_scan_on_hard_layouts(drawn, min_population, data):
+    # voting's pattern: a non-empty exclude set, growing by each winner
+    query, records = drawn
+    keys = {r.id: encode_geohash(r.point, 6).text for r in records}
+    tree = build_tree(records, keys, 6)
+    query_key = encode_geohash(query, 6).text
+    month = data.draw(st.sampled_from((None, "2015-01", "2015-02")))
+    excluded = set(data.draw(st.sets(st.sampled_from(sorted(keys)), min_size=1)))
+    for _ in range(3):
+        found = tree.nearest_in_group(query_key, query, month, exclude=excluded,
+                                      min_population=min_population)
+        expected = nearest_scan(records, keys, query_key, query, month=month,
+                                exclude=frozenset(excluded),
+                                min_population=min_population)
+        assert (found.id if found else None) == (expected.id if expected else None)
+        if found is None:
+            break
         excluded.add(found.id)

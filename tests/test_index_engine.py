@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geohpi import geotree
 from geohpi.geotree import GeoTree
 from geohpi.index_engine import (
     CHAIN_MODES,
@@ -508,6 +509,52 @@ class TestComputeIndex:
             assert list(result.series.flagged) == flagged
             assert result.matrix.entries == entries
             assert result.matrix.support == support
+
+    def test_many_listings_at_one_coordinate(self, monkeypatch):
+        # a feed that puts 600 listings on one block's coordinate, among a
+        # few scattered neighbours: rows at one coordinate share their
+        # metres, so a query costs a haversine call per distinct coordinate
+        # among its closest rows, not one per row
+        rng = random.Random(17)
+        months = ("2015-01", "2015-02", "2015-03")
+        records = [make_record(f"d{i:03d}", 53.3498, -6.2603,
+                               rng.uniform(200_000, 400_000), months[i % 3])
+                   for i in range(600)]
+        records += [make_record(f"s{i:02d}", 53.3498 + rng.uniform(-4e-4, 4e-4),
+                                -6.2603 + rng.uniform(-4e-4, 4e-4),
+                                rng.uniform(200_000, 400_000), months[i % 3])
+                    for i in range(20)]
+        config = IndexConfig(votes_per_record=2)
+        keys = keys_for(records, config)
+        haversine = geotree.haversine_distance
+        nearest = GeoTree.nearest_in_group
+        calls = [0]
+        per_query = []
+
+        def counted_haversine(a, b):
+            calls[0] += 1
+            return haversine(a, b)
+
+        def counted_nearest(self, *args, **kwargs):
+            before = calls[0]
+            found = nearest(self, *args, **kwargs)
+            per_query.append(calls[0] - before)
+            return found
+
+        monkeypatch.setattr(geotree, "haversine_distance", counted_haversine)
+        monkeypatch.setattr(GeoTree, "nearest_in_group", counted_nearest)
+        survivors = voting_stage(records, build_tree(records, config, keys, by_month=False),
+                                 config, keys)
+        matrix = build_ratio_matrix(survivors, build_tree(survivors, config, keys),
+                                    config, keys)
+        assert len(per_query) > 2 * 600
+        assert max(per_query) <= 2
+        monkeypatch.undo()
+        assert [r.id for r in survivors] == [r.id for r in voting_scan(records, keys, config)]
+        months, entries, support = matrix_scan(survivors, keys, config)
+        assert list(matrix.months) == months
+        assert matrix.entries == entries
+        assert matrix.support == support
 
     def test_oracle_key_matches_engine_key(self):
         record = make_record("a", 53.37, -6.59, 100_000, bedrooms=5)
