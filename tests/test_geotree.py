@@ -440,3 +440,31 @@ def test_nearest_matches_linear_scan_on_hard_layouts(drawn, min_population, data
         if found is None:
             break
         excluded.add(found.id)
+
+
+def test_tie_beyond_the_stop_point_is_found():
+    # a lattice of 2.7e-10 degree steps (30 micrometres) mirrored through
+    # the query: p00 wins in metres (tied with p74, smaller id), but p25's
+    # chord, low by the unit vectors' rounding, is the least, and p00's
+    # (z - qz)**2 alone exceeds it; only a scan that runs on to the margin
+    # limit, not to the least chord, reaches p00
+    lat0, lng0 = -0.21751019530498183, -94.92526160451568
+    coords = {"p52": (-0.21751019476980638, -94.92526160505086),
+              "p68": (-0.2175101958401573, -94.9252616039805),
+              "p41": (-0.21751019530498183, -94.92526160424809),
+              "p25": (-0.21751019530498183, -94.92526160478327),
+              "p58": (-0.2175101950373941, -94.92526160478327),
+              "p30": (-0.21751019557256956, -94.92526160424809),
+              "p74": (-0.21751019557256956, -94.92526160451568),
+              "p00": (-0.2175101950373941, -94.92526160451568)}
+    records = [make_record(rid, lat, lng, 100_000) for rid, (lat, lng) in coords.items()]
+    keys = {r.id: "0" for r in records}
+    tree = build_tree(records, keys, 1)
+    query = GeoPoint(lat0, lng0)
+    assert tree.nearest_in_group("0", query).id == "p00"
+    excluded: set[str] = set()
+    for _ in records:
+        found = tree.nearest_in_group("0", query, exclude=excluded)
+        assert found.id == nearest_scan(records, keys, "0", query,
+                                        exclude=frozenset(excluded)).id
+        excluded.add(found.id)
