@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import hashlib
 import io
 import json
@@ -29,7 +30,6 @@ from pathlib import Path
 
 from . import __version__
 from .index_engine import (
-    CHAIN_MODES,
     ChainUndefinedError,
     IndexConfig,
     VotingUndefinedError,
@@ -38,8 +38,8 @@ from .index_engine import (
 from .ingestion import (
     CsvSchema,
     SchemaError,
-    _is_finite_float,
     filter_listings,
+    is_finite_float,
     parse_listings,
     write_csv,
     write_listings_csv,
@@ -80,14 +80,14 @@ class _HashingReader(io.RawIOBase):
 
 @contextlib.contextmanager
 def _user_file(path):
-    """Open a path the user named as UTF-8 text: yield the stream and the SHA-256
-    of the bytes read from it so far; a decode or OS error inside becomes a
-    DataError naming the path."""
+    """Open a path the user named as UTF-8 text, skipping a leading byte-order mark:
+    yield the stream and the SHA-256 of the bytes read from it so far, the mark
+    included; a decode or OS error inside becomes a DataError naming the path."""
     path = Path(path)
     try:
         with open(path, "rb", buffering=0) as raw:
             hashing = _HashingReader(raw)
-            with io.TextIOWrapper(hashing, encoding="utf-8", newline="") as handle:
+            with io.TextIOWrapper(hashing, encoding="utf-8-sig", newline="") as handle:
                 yield handle, hashing.sha256
     except UnicodeDecodeError as exc:
         # exc.start counts from the decoder's current chunk, not the file start
@@ -198,32 +198,63 @@ def cmd_ingest(args) -> None:
           f"({report.surviving_fraction:.1%})")
 
 
-# Each ``index`` flag and the IndexConfig field it sets; the field names
-# are the ``--config`` keys, and values are typed by the field defaults.
-_INDEX_FLAGS = {
-    "--precision": "geohash_precision",
-    "--factor-bedrooms": "factor_bedrooms",
-    "--votes-k": "votes_per_record",
-    "--removal-fraction": "removal_fraction",
-    "--min-ratios": "min_ratios_for_chain",
-    "--scb-min-population": "scb_min_population",
-    "--chain-mode": "chain_mode",
+# Each command's config class, the error raised for a value the class rejects
+# (exit 1 for ``index``, 2 for ``synth``), and each of its flags with the field
+# it sets.  The ``index`` field names are its ``--config`` keys.
+_CONFIG_FLAGS = {
+    "index": (IndexConfig, _UsageError, {
+        "--precision": "geohash_precision",
+        "--factor-bedrooms": "factor_bedrooms",
+        "--votes-k": "votes_per_record",
+        "--removal-fraction": "removal_fraction",
+        "--min-ratios": "min_ratios_for_chain",
+        "--scb-min-population": "scb_min_population",
+        "--chain-mode": "chain_mode",
+    }),
+    "synth": (SynthConfig, DataError, {
+        "--months": "months",
+        "--records-per-month": "records_per_month",
+        "--drift": "drift",
+        "--noise": "noise",
+        "--clusters": "cluster_count",
+        "--base-price": "base_price",
+        "--mix": "bedroom_mix",
+        "--premiums": "bedroom_premium",
+        "--seed": "seed",
+    }),
 }
-_DEFAULTS = asdict(IndexConfig())
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
 
 
-def _parse_value(key: str, text: str):
-    default = _DEFAULTS[key]
-    if not isinstance(default, bool):
+def _value_kind(default) -> str:
+    """How a value typed by ``default`` is written."""
+    if isinstance(default, bool):
+        return "one of " + "/".join(_BOOLEANS)
+    if isinstance(default, tuple):
+        rows = "semicolon-separated rows of " if isinstance(default[0], tuple) else ""
+        return rows + "comma-separated numbers"
+    return type(default).__name__
+
+
+def _parse_value(default, text: str):
+    """``text`` typed by a config field's ``default``, for flags and ``--config`` lines
+    alike: a boolean spelled as in ``_BOOLEANS``, comma-separated floats for a tuple,
+    semicolon-separated rows of them for a tuple of tuples, else ``type(default)``."""
+    try:
+        if isinstance(default, bool):
+            return _BOOLEANS[text.lower()]
+        if isinstance(default, tuple) and isinstance(default[0], tuple):
+            return tuple(tuple(float(w) for w in row.split(",")) for row in text.split(";"))
+        if isinstance(default, tuple):
+            return tuple(float(w) for w in text.split(","))
         return type(default)(text)
-    if text.lower() not in _BOOLEANS:
-        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}")
-    return _BOOLEANS[text.lower()]
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected {_value_kind(default)}, got {text!r}") from None
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, defaults: dict) -> dict:
     values: dict = {}
     with _user_file(path) as (handle, _):
         for line_no, line in enumerate(handle, start=1):
@@ -233,30 +264,32 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise _UsageError(f"{path}:{line_no}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _DEFAULTS:
+            if key not in defaults:
                 raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
-                values[key] = _parse_value(key, value)
-            except ValueError as exc:
+                values[key] = _parse_value(defaults[key], value)
+            except argparse.ArgumentTypeError as exc:
                 raise _UsageError(f"{path}:{line_no}: {key}: {exc}") from exc
     return values
 
 
-def _index_config(args) -> IndexConfig:
-    values = _read_config_file(args.config) if args.config else {}
-    for name in _INDEX_FLAGS.values():
-        value = getattr(args, name)
-        if value is not None:
-            values[name] = value
+def _config(args):
+    """The command's config class built from its ``--config`` file, if any, with
+    every flag given put over the file's values."""
+    cls, rejected, flags = _CONFIG_FLAGS[args.command]
+    config_file = getattr(args, "config", None)
+    values = _read_config_file(config_file, asdict(cls())) if config_file else {}
+    given = {field: getattr(args, field) for field in flags.values()}
+    values.update((field, value) for field, value in given.items() if value is not None)
     try:
-        return IndexConfig(**values)
+        return cls(**values)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise rejected(str(exc)) from exc
 
 
 def cmd_index(args) -> None:
-    config = _index_config(args)
-    _, kept, report, _, digest, read_timings = _read_listings(args)
+    config = _config(args)
+    schema, kept, report, errors, digest, read_timings = _read_listings(args)
     rejected = report.total - report.surviving
     if rejected:
         print(f"warning: input was not pre-filtered; {rejected} record(s) dropped",
@@ -283,8 +316,9 @@ def cmd_index(args) -> None:
                         dict.fromkeys(f.name for f in fields(SeriesMetrics)),
     }
     _write_run(args.output_dir, "index", asdict(config), [(args.input, digest)], files,
-               {**read_timings, **result.timings},
-               records={"parsed": report.total, "filtered": report.surviving,
+               {**read_timings, **result.timings}, schema=asdict(schema),
+               records={"parsed": report.total, "parse_errors": len(errors),
+                        "filtered": report.surviving,
                         "after_voting": result.voting.survivors})
     if stats is None:
         print(f"index over {len(series.months)} months, "
@@ -303,7 +337,7 @@ def _read_series_csv(path: str) -> tuple[dict[str, float], object]:
         series: dict[str, float] = {}
         for row in reader:
             month, text = row["month"], row["value"]
-            if not _is_finite_float(text):
+            if not is_finite_float(text):
                 raise DataError(f"{path}:{reader.line_num}: non-numeric value {text!r}")
             if month in series:
                 raise DataError(f"{path}:{reader.line_num}: repeated month {month!r}")
@@ -350,44 +384,8 @@ def cmd_compare(args) -> None:
         print(f"{name:<28} {m.std_dev:>10.3f} {m.std_dev_diffs:>14.3f} {m.msm:>10.3f}")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(w) for w in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _parse_mix(text: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(_parse_floats(row) for row in text.split(";"))
-
-
-# Each ``synth`` flag and the SynthConfig field it sets; a flag left out
-# keeps the field's default.  Values are typed by the field defaults,
-# except the tuple fields, which take the parser and help given here.
-_SYNTH_FLAGS = {
-    "--months": "months",
-    "--records-per-month": "records_per_month",
-    "--drift": "drift",
-    "--noise": "noise",
-    "--clusters": "cluster_count",
-    "--base-price": "base_price",
-    "--mix": "bedroom_mix",
-    "--premiums": "bedroom_premium",
-    "--seed": "seed",
-}
-_SYNTH_DEFAULTS = asdict(SynthConfig())
-_SYNTH_TUPLES = {
-    "bedroom_mix": (_parse_mix, "semicolon-separated rows of six weights"),
-    "bedroom_premium": (_parse_floats, "six comma-separated multipliers"),
-}
-
-
 def cmd_synth(args) -> None:
-    values = {name: getattr(args, name) for name in _SYNTH_FLAGS.values()}
-    try:
-        config = SynthConfig(**{k: v for k, v in values.items() if v is not None})
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    config = _config(args)
     start = time.perf_counter()
     records, truth = generate(config)
     t_generate = time.perf_counter() - start
@@ -402,40 +400,31 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="geohpi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"geohpi {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    p_ingest = sub.add_parser("ingest", help="parse and filter a listings CSV")
-    p_ingest.add_argument("--input", required=True)
-    p_ingest.add_argument("--output-dir", required=True)
-    p_ingest.add_argument("--schema", help="field=column overrides, comma separated")
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_index = sub.add_parser("index", help="compute the price index from filtered CSV")
-    p_index.add_argument("--input", required=True)
-    p_index.add_argument("--output-dir", required=True)
-    p_index.add_argument("--schema")
-    p_index.add_argument("--config", help="flat key = value config file")
-    for flag, name in _INDEX_FLAGS.items():
-        default = _DEFAULTS[name]
-        if isinstance(default, bool):
-            p_index.add_argument(flag, dest=name, action="store_true", default=None)
-        else:
-            choices = CHAIN_MODES if name == "chain_mode" else None
-            p_index.add_argument(flag, dest=name, type=type(default), choices=choices)
-    p_index.set_defaults(func=cmd_index)
-
-    p_compare = sub.add_parser("compare", help="compare one or more index series")
-    p_compare.add_argument("series", nargs="+")
-    p_compare.add_argument("--output-dir", required=True)
-    p_compare.add_argument("--names", help="comma-separated series names")
-    p_compare.add_argument("--svg", action="store_true")
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic listings dataset")
-    p_synth.add_argument("--output-dir", required=True)
-    for flag, name in _SYNTH_FLAGS.items():
-        parse, help_text = _SYNTH_TUPLES.get(name, (type(_SYNTH_DEFAULTS[name]), None))
-        p_synth.add_argument(flag, dest=name, type=parse, help=help_text)
-    p_synth.set_defaults(func=cmd_synth)
+    listings = argparse.ArgumentParser(add_help=False)
+    listings.add_argument("--input", required=True, help="listings CSV")
+    listings.add_argument("--schema", help="field=column overrides, comma separated")
+    commands = {
+        "ingest": (cmd_ingest, [listings], "parse and filter a listings CSV"),
+        "index": (cmd_index, [listings], "compute the price index from filtered CSV"),
+        "compare": (cmd_compare, [], "compare one or more index series"),
+        "synth": (cmd_synth, [], "generate a synthetic listings dataset"),
+    }
+    for name, (func, parents, help_text) in commands.items():
+        command_parser = sub.add_parser(name, parents=parents, help=help_text)
+        command_parser.add_argument("--output-dir", required=True)
+        command_parser.set_defaults(func=func)
+    sub.choices["index"].add_argument("--config", help="flat key = value config file")
+    sub.choices["compare"].add_argument("series", nargs="+")
+    sub.choices["compare"].add_argument("--names", help="comma-separated series names")
+    sub.choices["compare"].add_argument("--svg", action="store_true")
+    for command, (cls, _, flags) in _CONFIG_FLAGS.items():
+        defaults = asdict(cls())
+        for flag, field in flags.items():
+            default = defaults[field]
+            typing = ({"action": "store_true", "default": None} if isinstance(default, bool)
+                      else {"type": functools.partial(_parse_value, default),
+                            "help": _value_kind(default)})
+            sub.choices[command].add_argument(flag, dest=field, **typing)
     return parser
 
 
@@ -443,13 +432,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "func", None) is None:
-        parser.print_help(sys.stderr)
-        return 1
-    try:
+        if getattr(args, "func", None) is None:
+            parser.print_help(sys.stderr)
+            return 1
         args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

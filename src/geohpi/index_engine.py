@@ -68,7 +68,8 @@ class IndexConfig:
         if self.scb_min_population < 1:
             raise ValueError("scb_min_population must be at least 1")
         if self.chain_mode not in CHAIN_MODES:
-            raise ValueError(f"chain_mode must be one of {CHAIN_MODES}")
+            raise ValueError(f"chain_mode must be one of {CHAIN_MODES}, "
+                             f"got {self.chain_mode!r}")
 
 
 @dataclass(frozen=True)

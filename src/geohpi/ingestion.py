@@ -141,12 +141,13 @@ def _opt_number(text: str | None, convert, label: str, problems: list[str]):
         return convert(text)
     except ValueError:
         problems.append(f"{label} {text!r} is not a whole number"
-                        if convert is int and _is_finite_float(text)
+                        if convert is int and is_finite_float(text)
                         else f"non-numeric {label} {text!r}")
         return None
 
 
-def _is_finite_float(text: str) -> bool:
+def is_finite_float(text: str) -> bool:
+    """Whether ``float(text)`` parses to a finite number."""
     try:
         return math.isfinite(float(text))
     except ValueError:
@@ -163,7 +164,7 @@ def parse_listings(
     column is absent from the header.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return parse_listings(handle, schema)
 
     reader = csv.DictReader(source)
@@ -195,6 +196,9 @@ def parse_listings(
             problems.append("missing date")
         else:
             try:
+                # fromisoformat also takes 20150302 and 2015-W10-1 from Python 3.11 on
+                if len(date_text) != 10 or date_text[4] != "-" or date_text[7] != "-":
+                    raise ValueError
                 list_date = datetime.date.fromisoformat(date_text)
             except ValueError:
                 problems.append(f"bad date {date_text!r}")

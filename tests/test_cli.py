@@ -12,10 +12,12 @@ from xml.etree import ElementTree
 import pytest
 
 from geohpi import cli
-from geohpi.cli import _SYNTH_FLAGS, main
+from geohpi.cli import _CONFIG_FLAGS, main
 from geohpi.synthgen import SynthConfig
 
 from helpers import filtration_fixture_raw, make_raw, write_raw_csv
+
+_SYNTH_FLAGS = _CONFIG_FLAGS["synth"][-1]
 
 
 def run(*argv):
@@ -362,6 +364,19 @@ class TestIndex:
         assert manifest["outputs"] == ["index_series.csv", "ratio_matrix.csv",
                                        "metrics.json"]
 
+    def test_manifest_records_schema_and_parse_errors(self, tmp_path):
+        listings = (synth(tmp_path) / "listings.csv").read_text().splitlines(True)
+        src = tmp_path / "asking.csv"
+        src.write_text(listings[0].replace("price", "asking") + "".join(listings[1:])
+                       + "bad,2015-13-01,1,2,3,4,\n")
+        out = tmp_path / "indexed"
+        assert run("index", "--input", str(src), "--output-dir", str(out),
+                   "--schema", "price=asking,type=") == 0
+        manifest = json.loads((out / "index_manifest.json").read_text())
+        assert manifest["schema"] == asdict(cli.CsvSchema(price="asking", dwelling_type=None))
+        assert manifest["records"]["parse_errors"] == 1
+        assert manifest["records"]["parsed"] == manifest["records"]["filtered"] == 180
+
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         data = synth(tmp_path)
         assert run("index", "--input", str(data / "listings.csv"),
@@ -456,6 +471,38 @@ def test_bad_user_path_is_data_error_naming_it(tmp_path, capsys, command, flag, 
     err = capsys.readouterr().err
     assert f"error: {bad}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [("ingest", "--input"), ("index", "--input"),
+                                           ("index", "--config"), ("compare", "series")])
+def test_byte_order_mark_is_skipped_and_hashed(tmp_path, command, flag):
+    """A UTF-8 file that starts with a byte-order mark, as Excel writes one, runs as
+    the file without it does; the manifest digest is of the bytes read, mark included."""
+    series = tmp_path / "series.csv"
+    write_series(series, [(f"2015-{m:02d}", 100 + m * m) for m in range(1, 7)])
+    config = tmp_path / "run.cfg"
+    config.write_text("chain_mode = geometric\n")
+    paths = {"--input": synth(tmp_path) / "listings.csv", "--config": config,
+             "series": series}
+    marked = tmp_path / "bom" / paths[flag].name
+    marked.parent.mkdir()
+    marked.write_bytes(b"\xef\xbb\xbf" + paths[flag].read_bytes())
+    runs = []
+    for name, path in (("plain", paths[flag]), ("marked", marked)):
+        out = tmp_path / name
+        argv = [command]
+        for arg in _FILE_FLAGS[command][:-1]:
+            value = str(path if arg == flag else paths[arg])
+            argv += [value] if arg == "series" else [arg, value]
+        assert run(*argv, "--output-dir", str(out)) == 0
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        digests = {entry["path"]: entry["sha256"] for entry in manifest["inputs"]}
+        if flag != "--config":  # the config file is not a listed input
+            assert digests[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+        runs.append((manifest["config"],
+                     {name: (out / name).read_bytes() for name in manifest["outputs"]}))
+    assert runs[0] == runs[1]
+    assert flag != "--config" or runs[1][0]["chain_mode"] == "geometric"
 
 
 class TestCompare:
@@ -655,3 +702,17 @@ class TestEndToEnd:
         assert (tmp_path / "mix_shift.svg").exists()
         with open(tmp_path / "mix_shift_long.csv", newline="") as handle:
             assert next(csv.reader(handle)) == ["series_name", "month", "value"]
+
+
+def test_readme_flag_tables_match_the_config_classes():
+    """README's `index` and `synth` tables list every config flag in order, each
+    with its field and its field's default written as the flag would take it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [tuple(cell.strip().strip("`") for cell in line.strip().strip("|").split("|"))
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.strip().startswith("| `--")]
+    expected = [(flag, field, cls) for cls, _, flags in _CONFIG_FLAGS.values()
+                for flag, field in flags.items()]
+    assert [row[:2] for row in rows] == [(flag, field) for flag, field, _ in expected]
+    for (flag, field, default), (_, _, cls) in zip(rows, expected):
+        assert cli._parse_value(getattr(cls(), field), default) == getattr(cls(), field), flag

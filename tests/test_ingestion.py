@@ -77,6 +77,14 @@ class TestParse:
         _, errors = parse(HEADER + "a1,02/03/2015,250000,53.35,-6.26,3,house\n")
         assert len(errors) == 1 and "date" in errors[0].message
 
+    @pytest.mark.parametrize("text", ["20150302", "2015-W10-1", "2015W101"])
+    def test_only_dashed_iso_dates_parse(self, text):
+        # each of these is 2015-03-02 to Python 3.11's date.fromisoformat
+        records, errors = parse(HEADER + f"a1,{text},250000,53.35,-6.26,3,house\n"
+                                + "a2,2015-03-02,250000,53.35,-6.26,3,house\n")
+        assert [r.id for r in records] == ["a2"]
+        assert [e.message for e in errors] == [f"bad date {text!r}"]
+
     def test_missing_id_is_parse_error(self):
         _, errors = parse(HEADER + ",2015-03-02,250000,53.35,-6.26,3,house\n")
         assert len(errors) == 1 and "id" in errors[0].message
@@ -273,6 +281,15 @@ class TestWriteRoundTrip:
             assert after.point == before.point
             assert after.list_date == before.list_date
             assert after.month_key == before.month_key
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = HEADER + "a1,2015-03-02,250000,53.35,-6.26,3,house\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert parse_listings(marked) == parse_listings(plain)
+    assert len(parse_listings(marked)[0]) == 1
 
 
 def test_month_key_of():
