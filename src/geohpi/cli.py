@@ -189,9 +189,8 @@ def _write_parse_errors(errors: list, handle) -> None:
 def cmd_ingest(args) -> None:
     schema, kept, report, errors, digest, timings = _read_listings(args)
     files = {"filtered.csv": lambda handle: write_listings_csv(kept, handle),
-             "filtration_report.json": report.to_dict()}
-    if errors:
-        files["parse_errors.json"] = lambda handle: _write_parse_errors(errors, handle)
+             "filtration_report.json": report.to_dict(),
+             "parse_errors.json": lambda handle: _write_parse_errors(errors, handle)}
     _write_run(args.output_dir, "ingest", {"schema": asdict(schema)},
                [(args.input, digest)], files, timings, parse_errors=len(errors))
     print(f"kept {report.surviving}/{report.total} records "
@@ -351,6 +350,10 @@ def cmd_compare(args) -> None:
     names = args.names.split(",") if args.names else [Path(p).stem for p in args.series]
     if len(names) != len(args.series):
         raise _UsageError("--names must list one name per series")
+    if len(set(names)) != len(names):
+        repeated = next(name for name in names if names.count(name) > 1)
+        raise _UsageError(f"series name {repeated!r} is repeated; "
+                          "give each series its own name with --names")
     loaded = [_read_series_csv(p) for p in args.series]
     common = set(loaded[0][0]).intersection(*(series for series, _ in loaded[1:]))
     if not common:

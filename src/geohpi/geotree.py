@@ -1,10 +1,10 @@
 """Fixed-depth prefix tree over geohash-style keys with per-node caches.
 
 The tree maps each key prefix (the root is ``""``) to a node caching the
-records of its subtree, so the bucket around a key is found in at most
-``key_length`` lookups of the key's own prefixes and handed back as a
-cached list: cost is independent of the number of records.  All keys must
-have the same length, so the tree height equals the key length (geohash
+records of its subtree.  Each query checks its arguments once, then climbs
+the key's own prefixes, longest first, to the deepest node with enough
+records, else the root: at most ``key_length`` lookups, whatever the number
+of records.  All keys have the same length, the tree's height (geohash
 precision plus any prepended parameter characters).
 
 Besides the record cache, every node keeps one packed row per record,
@@ -15,9 +15,8 @@ of one list by squared chord, with no trig calls.  Every row list is kept
 sorted by ``z``: an insert marks the tree unsorted, and the next
 ``nearest_in_group`` sorts every list once.  The query bisects to its own
 ``z`` and scans outward both ways, stopping once ``(z - qz)**2`` alone
-exceeds the limit ``(sqrt(best) * (1 + 1e-9) + 1e-12)**2`` set by the least
-chord ``best`` seen so far; rows within that limit are compared again by
-``(haversine_distance, id)``, see ``_nearest_row``.
+exceeds a margin around the least chord seen so far; rows within it are
+compared again by ``(haversine_distance, id)``, see ``_nearest_row``.
 
 The tree is write-once: build it, then query it.  Deletion and rebalancing
 are deliberately unsupported, and the lists returned by queries are the
@@ -29,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import cos, inf, radians, sin, sqrt
 from operator import itemgetter
-from typing import AbstractSet, Any, Callable, Hashable, Iterable, Iterator
+from typing import AbstractSet, Any, Callable, Hashable, Iterable
 
 from .geocode import ALPHABET, GeoPoint, haversine_distance
 
@@ -65,9 +64,10 @@ def _unit_vector(point: GeoPoint) -> tuple[float, float, float]:
     return sin(phi), cos_phi * cos(lam), cos_phi * sin(lam)
 
 
-def _nearest_row(rows: list, point: GeoPoint, exclude: AbstractSet) -> tuple | None:
-    """The row nearest to ``point`` by ``(haversine_distance, id)`` whose id is
-    not in ``exclude``, or None; ``rows`` must be sorted by ``z``.
+def _nearest_row(rows: list, point: GeoPoint, exclude: AbstractSet) -> Any | None:
+    """The record of the row nearest to ``point`` by ``(haversine_distance, id)``
+    whose id is not in ``exclude``, or None when no row qualifies; ``rows``
+    must be sorted by ``z``.
 
     Scores rows by the squared chord ``c`` between unit vectors, which grows
     with great-circle distance, and scans outward from ``point``'s ``z`` in
@@ -94,7 +94,7 @@ def _nearest_row(rows: list, point: GeoPoint, exclude: AbstractSet) -> tuple | N
     """
     if len(rows) == 1:
         row = rows[0]
-        return None if row[3] in exclude else row
+        return None if row[3] in exclude else row[4]
     qz, qx, qy = _unit_vector(point)
     best = limit = inf
     close = []
@@ -119,7 +119,7 @@ def _nearest_row(rows: list, point: GeoPoint, exclude: AbstractSet) -> tuple | N
                     limit = (sqrt(c) * _REL_MARGIN + _ABS_MARGIN) ** 2
     close = [row for c, row in close if c <= limit]
     if len(close) <= 1:
-        return close[0] if close else None
+        return close[0][4] if close else None
     metres: dict[tuple[float, float], float] = {}
 
     def rank(row: tuple) -> tuple:
@@ -131,7 +131,7 @@ def _nearest_row(rows: list, point: GeoPoint, exclude: AbstractSet) -> tuple | N
             metres[coordinate] = haversine_distance(point, at)
         return metres[coordinate], row[3]
 
-    return min(close, key=rank)
+    return min(close, key=rank)[4]
 
 
 class GeoTree:
@@ -184,24 +184,12 @@ class GeoTree:
             if label is not None:
                 node.groups.setdefault(label, []).append(row)
 
-    def _climb(self, key: str, min_population: int) -> Iterator[tuple[_Node, int]]:
-        """The surrounding common bucket walk shared by both queries.
-
-        Yields ``(node, depth)`` for every node on the key's path, deepest
-        first and the root (depth 0) last; a query stops at the first node
-        whose list meets ``min_population`` and otherwise ends on the root.
-        """
+    def _check_query(self, key: str, min_population: int) -> None:
         if min_population < 1:
             raise ValueError("min_population must be at least 1")
-        nodes = self._nodes
-        if not nodes[""].cache:
+        if not self._nodes[""].cache:
             raise EmptyTreeError("query on an empty tree")
         self._check_length(key)
-        for depth in range(len(key), 0, -1):
-            node = nodes.get(key[:depth])
-            if node is not None:
-                yield node, depth
-        yield nodes[""], 0
 
     def scb_query(self, key: str, min_population: int = 1) -> tuple[list, int]:
         """Return the surrounding common bucket for ``key`` and its depth.
@@ -211,10 +199,13 @@ class GeoTree:
         first ``depth`` characters with the query.  If even the root falls
         short, the root cache is returned at depth 0.
         """
-        for node, depth in self._climb(key, min_population):
-            if len(node.cache) >= min_population:
-                break
-        return node.cache, depth
+        self._check_query(key, min_population)
+        nodes = self._nodes
+        for depth in range(len(key), 0, -1):
+            node = nodes.get(key[:depth])
+            if node is not None and len(node.cache) >= min_population:
+                return node.cache, depth
+        return nodes[""].cache, 0
 
     def nearest_in_group(
         self,
@@ -239,21 +230,25 @@ class GeoTree:
             raise ValueError("tree was built without a group_key")
         if isinstance(exclude, str):  # `in` would match substrings of it
             raise TypeError("exclude must be a set of ids, not a str")
+        self._check_query(key, min_population)
+        nodes = self._nodes
         if self._unsorted:
-            for node in self._nodes.values():
+            for node in nodes.values():
                 for rows in node.groups.values():
                     rows.sort(key=_Z)
             self._unsorted = False
-        for node, _ in self._climb(key, min_population):
-            rows = node.groups.get(group, ())
+        for depth in range(len(key), 0, -1):
+            node = nodes.get(key[:depth])
+            rows = node.groups.get(group, ()) if node is not None else ()
             # excluded ids may lie outside this list, so count exactly only
             # when the bound that assumes all of them inside falls short
             if len(rows) >= min_population and (
                     len(rows) - len(exclude) >= min_population
                     or sum(row[3] not in exclude for row in rows) >= min_population):
                 break
-        row = _nearest_row(rows, point, exclude) if rows else None
-        return None if row is None else row[4]
+        else:
+            rows = nodes[""].groups.get(group, ())
+        return _nearest_row(rows, point, exclude)
 
     def walk(self) -> Iterable[tuple[str, _Node]]:
         """Yield ``(prefix, node)`` over the whole tree, parents first."""

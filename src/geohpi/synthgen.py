@@ -44,6 +44,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("drift", "noise", "cluster_radius_deg", "base_price"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.drift <= -1:
+            raise ValueError("drift must be greater than -1")
+        if self.noise < 0:
+            raise ValueError("noise must be non-negative")
+        if self.cluster_radius_deg < 0:
+            raise ValueError("cluster_radius_deg must be non-negative")
         if self.months < 2:
             raise ValueError("months must be at least 2")
         if self.records_per_month < 1:
@@ -55,12 +64,16 @@ class SynthConfig:
         for row in self.bedroom_mix:
             if len(row) != len(BEDROOM_COUNTS):
                 raise ValueError("each bedroom_mix row needs six weights")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"bedroom_mix row {row!r} is not finite")
             if any(w < 0 for w in row):
                 raise ValueError("bedroom_mix weights must be non-negative")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError(f"bedroom_mix row {row!r} does not sum to 1")
         if len(self.bedroom_premium) != len(BEDROOM_COUNTS):
             raise ValueError("bedroom_premium needs six multipliers")
+        if not all(map(math.isfinite, self.bedroom_premium)):
+            raise ValueError("bedroom_premium multipliers must be finite")
         if any(p <= 0 for p in self.bedroom_premium):
             raise ValueError("bedroom_premium multipliers must be positive")
         if self.base_price <= 0:

@@ -68,6 +68,19 @@ class TestSynth:
         assert flag in err and value in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--drift", "inf", "drift must be finite, got inf"),
+        ("--noise", "nan", "noise must be finite, got nan"),
+    ])
+    def test_non_finite_value_is_data_error_writing_nothing(self, tmp_path, capsys,
+                                                            flag, value, message):
+        out = tmp_path / "bad"
+        assert run("synth", "--output-dir", str(out), flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_every_flag_sets_its_field(self, tmp_path):
         expected = {
             "months": 5,
@@ -136,6 +149,22 @@ class TestIngest:
         assert "1 malformed" in capsys.readouterr().err
         errors = json.loads((out / "parse_errors.json").read_text())
         assert errors[0]["row"] == 3
+
+    def test_clean_rerun_replaces_the_parse_errors(self, tmp_path):
+        header = "id,date,price,lat,lng,bedrooms,type\n"
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text(header + "a,2015-01-02,250000,53.0,-7.0,3,house\n"
+                         "b,2015-02-30,250000,53.0,-7.0,3,house\n")
+        clean = tmp_path / "clean.csv"
+        clean.write_text(header + "a,2015-01-02,250000,53.0,-7.0,3,house\n")
+        out = tmp_path / "ingested"
+        assert run("ingest", "--input", str(dirty), "--output-dir", str(out)) == 0
+        assert len(json.loads((out / "parse_errors.json").read_text())) == 1
+        assert run("ingest", "--input", str(clean), "--output-dir", str(out)) == 0
+        assert (out / "parse_errors.json").read_text() == "[]\n"
+        manifest = json.loads((out / "ingest_manifest.json").read_text())
+        assert "parse_errors.json" in manifest["outputs"]
+        assert manifest["parse_errors"] == 0
 
     def test_parse_errors_json_is_json_dump_of_the_errors(self, tmp_path):
         # written one error at a time, the file keeps json.dump's bytes,
@@ -592,6 +621,21 @@ class TestCompare:
         err = capsys.readouterr().err
         assert f"error: {a}:{line}: {problem}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", [None, "plain,plain"], ids=["stems", "names_flag"])
+    def test_repeated_series_name_is_usage_error(self, tmp_path, capsys, names):
+        paths = [tmp_path / run_dir / "index_series.csv" for run_dir in ("plain", "factored")]
+        for path in paths:
+            path.parent.mkdir()
+            write_series(path, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
+        out = tmp_path / "cmp"
+        argv = ["compare", *map(str, paths), "--output-dir", str(out)]
+        assert run(*argv, *(["--names", names] if names else [])) == 1
+        err = capsys.readouterr().err
+        repeated = "plain" if names else "index_series"
+        assert f"usage error: series name {repeated!r} is repeated" in err
+        assert "--names" in err
         assert not out.exists()
 
     def test_names_flag(self, tmp_path):

@@ -288,6 +288,36 @@ class TestNearestInGroup:
             )
 
 
+@pytest.mark.parametrize("query", ["scb_query", "nearest_in_group"])
+def test_query_arguments_are_checked(query):
+    # no query has run yet, so the row lists still await their sort
+    rng = random.Random(47)
+    records = clustered_records(rng, 80)
+    keys = random_keys(rng, records, 5)
+    tree = build_tree(records, keys, 5)
+    anchor = records[0]
+
+    def call(key, min_population):
+        if query == "scb_query":
+            return tree.scb_query(key, min_population)
+        return tree.nearest_in_group(key, anchor.point, anchor.month_key,
+                                     min_population=min_population)
+
+    with pytest.raises(ValueError) as raised:
+        call(keys[anchor.id], 0)
+    assert raised.type is ValueError
+    assert str(raised.value) == "min_population must be at least 1"
+    with pytest.raises(KeyLengthMismatch) as raised:
+        call("0123", 1)
+    assert str(raised.value) == "key '0123' has length 4, tree expects 5"
+    exclude = frozenset((anchor.id,))
+    found = tree.nearest_in_group(keys[anchor.id], anchor.point, anchor.month_key,
+                                  exclude=exclude, min_population=2)
+    expected = nearest_scan(records, keys, keys[anchor.id], anchor.point,
+                            month=anchor.month_key, exclude=exclude, min_population=2)
+    assert found is not None and found.id == expected.id
+
+
 @given(
     keys=st.lists(st.text("01", min_size=4, max_size=4), min_size=1, max_size=60),
 )

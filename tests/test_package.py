@@ -21,3 +21,15 @@ def private_imports(package: Path) -> list[str]:
 
 def test_no_module_imports_a_private_name_from_a_sibling():
     assert private_imports(Path(geohpi.__file__).parent) == []
+
+
+def test_readme_library_import_block_runs():
+    """README's ``from geohpi import (...)`` block under "Library surface" imports,
+    so renaming or dropping an export it names fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library surface\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.startswith("from geohpi import (")
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["GeoTree"] is geohpi.GeoTree

@@ -23,10 +23,27 @@ class TestConfigValidation:
             {"bedroom_mix": ((1.5, -0.5, 0.0, 0.0, 0.0, 0.0),)},  # negative
             {"bedroom_premium": (1.0,) * 5},
             {"bedroom_premium": (1.0, 1.0, 0.0, 1.0, 1.0, 1.0)},
+            {"drift": float("inf")},
+            {"drift": float("nan")},
+            {"drift": -1.0},
+            {"drift": -1.5},
+            {"noise": float("nan")},
+            {"noise": float("inf")},
+            {"noise": -0.01},
+            {"base_price": float("inf")},
+            {"base_price": float("nan")},
+            {"cluster_radius_deg": float("inf")},
+            {"cluster_radius_deg": float("nan")},
+            {"cluster_radius_deg": -0.01},
+            {"bedroom_mix": ((0.5, 0.5, 0.0, 0.0, 0.0, float("nan")),)},
+            {"bedroom_mix": ((0.5, 0.5, 0.0, 0.0, 0.0, float("inf")),)},
+            {"bedroom_premium": (1.0, 1.0, float("inf"), 1.0, 1.0, 1.0)},
+            {"bedroom_premium": (1.0, 1.0, float("nan"), 1.0, 1.0, 1.0)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):  # the message names the field
             SynthConfig(**kwargs)
 
 
