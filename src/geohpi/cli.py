@@ -365,24 +365,28 @@ def cmd_compare(args) -> None:
     aligned = [(name, [series[m] for m in aligned_months])
                for name, (series, _) in zip(names, loaded)]
 
-    stats = [(name, series_metrics(values)) for name, values in aligned]
+    try:
+        stats = [(name, series_metrics(values)) for name, values in aligned]
+    except UndefinedMetricError:  # under three months: a table, but no smoothness
+        print(f"warning: {len(aligned_months)} shared month(s) are too short for "
+              "smoothness metrics; their cells are left empty", file=sys.stderr)
+        stats = []
     files = {
         "comparison_table.csv": lambda handle: write_csv(
             handle, ["series", "std_dev", "std_dev_diffs", "msm", "spike_count"],
             ([name, repr(m.std_dev), repr(m.std_dev_diffs), repr(m.msm), m.spike_count]
-             for name, m in stats)),
+             for name, m in stats) if stats else ([name, "", "", "", ""] for name in names)),
         "comparison_long.csv": lambda handle: write_csv(
             handle, ["series_name", "month", "value"],
             ([name, month, repr(value)] for name, values in aligned
              for month, value in zip(aligned_months, values))),
+        "chart.svg": lambda handle: handle.write(render_line_chart(aligned_months, aligned)),
     }
-    if args.svg:
-        files["chart.svg"] = lambda handle: handle.write(
-            render_line_chart(aligned_months, aligned))
     inputs = [(path, digest) for path, (_, digest) in zip(args.series, loaded)]
     _write_run(args.output_dir, "compare", {"names": names}, inputs, files, {})
 
-    print(f"{'series':<28} {'st_dev':>10} {'st_dev_diffs':>14} {'msm':>10}")
+    if stats:
+        print(f"{'series':<28} {'st_dev':>10} {'st_dev_diffs':>14} {'msm':>10}")
     for name, m in stats:
         print(f"{name:<28} {m.std_dev:>10.3f} {m.std_dev_diffs:>14.3f} {m.msm:>10.3f}")
 
@@ -419,7 +423,6 @@ def build_parser() -> _Parser:
     sub.choices["index"].add_argument("--config", help="flat key = value config file")
     sub.choices["compare"].add_argument("series", nargs="+")
     sub.choices["compare"].add_argument("--names", help="comma-separated series names")
-    sub.choices["compare"].add_argument("--svg", action="store_true")
     for command, (cls, _, flags) in _CONFIG_FLAGS.items():
         defaults = asdict(cls())
         for flag, field in flags.items():
@@ -445,7 +448,6 @@ def main(argv=None) -> int:
     except (
         DataError,
         SchemaError,
-        UndefinedMetricError,
         VotingUndefinedError,
         ChainUndefinedError,
     ) as exc:

@@ -1,26 +1,26 @@
-"""Fixed-depth prefix tree over geohash-style keys with per-node caches.
+"""Fixed-depth prefix tree over geohash-style keys, kept as two prefix maps.
 
-The tree maps each key prefix (the root is ``""``) to a node caching the
-records of its subtree.  Each query checks its arguments once, then climbs
-the key's own prefixes, longest first, to the deepest node with enough
-records, else the root: at most ``key_length`` lookups, whatever the number
-of records.  All keys have the same length, the tree's height (geohash
-precision plus any prepended parameter characters).
+One maps each key prefix present (the root is ``""``) to its records in
+insertion order; the other maps each label to the same prefixes' packed
+rows.  A query checks its arguments once, then climbs the key's own
+prefixes, longest first, to the deepest one with enough records, else the
+root: at most ``key_length`` dictionary lookups, whatever the number of
+records.  All keys have the tree's fixed length (geohash precision plus any
+prepended parameter characters).
 
-Besides the record cache, every node keeps one packed row per record,
-``(z, x, y, id, record)`` with ``(x, y, z)`` the point's unit vector and
-``z = sin(lat)`` first, all under the label ``None`` and, in a tree with a
-``group_key``, again per label.  A nearest-neighbour query scores the rows
-of one list by squared chord, with no trig calls.  Every row list is kept
-sorted by ``z``: an insert marks the tree unsorted, and the next
+A packed row is ``(z, x, y, id, record)``, ``(x, y, z)`` the point's unit
+vector with ``z = sin(lat)`` first, kept under the label ``None`` and, in a
+tree with a ``group_key``, again under its own label.  A nearest-neighbour
+query scores one row list by squared chord, with no trig calls.  Each list
+is kept sorted by ``z``: an insert marks the tree unsorted, and the next
 ``nearest_in_group`` sorts every list once.  The query bisects to its own
 ``z`` and scans outward both ways, stopping once ``(z - qz)**2`` alone
 exceeds a margin around the least chord seen so far; rows within it are
 compared again by ``(haversine_distance, id)``, see ``_nearest_row``.
 
 The tree is write-once: build it, then query it.  Deletion and rebalancing
-are deliberately unsupported, and the lists returned by queries are the
-live caches; treat them as read-only.
+are deliberately unsupported, and queries return the maps' live lists;
+treat them as read-only.
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ class KeyLengthMismatch(ValueError):
 
 class EmptyTreeError(LookupError):
     """Raised when querying a tree that holds no records."""
-
-
-class _Node:
-    __slots__ = ("cache", "groups")
-
-    def __init__(self) -> None:
-        self.cache: list = []
-        self.groups: dict[Hashable, list] = {None: []}
 
 
 def _unit_vector(point: GeoPoint) -> tuple[float, float, float]:
@@ -135,28 +127,27 @@ def _nearest_row(rows: list, point: GeoPoint, exclude: AbstractSet) -> Any | Non
 
 
 class GeoTree:
-    """Prefix tree with cached record lists at every node, keyed by prefix.
+    """Prefix tree mapping every key prefix present to the records under it.
 
     ``group_key`` optionally labels each record (typically with its listing
-    month); each node keeps its packed rows per label as well as all under
-    ``None``, so every query reads its candidates in one dictionary lookup.
+    month); each prefix's rows are kept per label as well as all under
+    ``None``, so each climb step reads its candidates in one dictionary
+    lookup.  No map holds an empty list, save the root's in an empty tree.
     Records must expose ``.id`` (orderable, unique) and ``.point`` (GeoPoint).
     """
 
-    def __init__(
-        self,
-        key_length: int,
-        group_key: Callable[[Any], Hashable] | None = None,
-    ) -> None:
+    def __init__(self, key_length: int,
+                 group_key: Callable[[Any], Hashable] | None = None) -> None:
         if key_length < 1:
             raise ValueError("key_length must be at least 1")
         self.key_length = key_length
         self.group_key = group_key
-        self._nodes: dict[str, _Node] = {"": _Node()}
+        self._records: dict[str, list] = {"": []}  # prefix -> records
+        self._rows: dict[Hashable, dict[str, list]] = {None: {"": []}}  # label -> prefix -> rows
         self._unsorted = False  # an insert since the row lists were last sorted
 
     def __len__(self) -> int:
-        return len(self._nodes[""].cache)
+        return len(self._records[""])
 
     def _check_length(self, key: str) -> None:
         if len(key) != self.key_length:
@@ -165,47 +156,55 @@ class GeoTree:
             )
 
     def insert(self, key: str, record: Any) -> None:
-        """Append ``record`` to the cache of the node of every prefix of ``key``."""
+        """Append ``record``, and its row, at every prefix of ``key``."""
         self._check_length(key)
-        for c in key:  # validate before touching any node
+        for c in key:  # validate before touching any map
             if c not in _ALPHABET_SET:
                 raise ValueError(f"key character {c!r} outside the geohash alphabet")
         label = self.group_key(record) if self.group_key is not None else None
         row = (*_unit_vector(record.point), record.id, record)
-        nodes = self._nodes
+        records = self._records
+        everything = self._rows[None]
+        labelled = self._rows.setdefault(label, {}) if label is not None else None
         self._unsorted = True
         for depth in range(len(key) + 1):
             prefix = key[:depth]
-            node = nodes.get(prefix)
-            if node is None:
-                node = nodes[prefix] = _Node()
-            node.cache.append(record)
-            node.groups[None].append(row)
-            if label is not None:
-                node.groups.setdefault(label, []).append(row)
+            cache = records.get(prefix)
+            if cache is None:  # a one-row list, not append's four slots
+                records[prefix] = [record]
+                everything[prefix] = [row]
+            else:
+                cache.append(record)
+                everything[prefix].append(row)
+            if labelled is not None:
+                rows = labelled.get(prefix)
+                if rows is None:
+                    labelled[prefix] = [row]
+                else:
+                    rows.append(row)
 
     def _check_query(self, key: str, min_population: int) -> None:
         if min_population < 1:
             raise ValueError("min_population must be at least 1")
-        if not self._nodes[""].cache:
+        if not self._records[""]:
             raise EmptyTreeError("query on an empty tree")
         self._check_length(key)
 
     def scb_query(self, key: str, min_population: int = 1) -> tuple[list, int]:
         """Return the surrounding common bucket for ``key`` and its depth.
 
-        The bucket is the cache of the deepest node on the key's path whose
+        The bucket is the records of the deepest prefix of the key whose
         population meets ``min_population``; every record in it shares its
         first ``depth`` characters with the query.  If even the root falls
-        short, the root cache is returned at depth 0.
+        short, the root's records are returned at depth 0.
         """
         self._check_query(key, min_population)
-        nodes = self._nodes
+        records = self._records
         for depth in range(len(key), 0, -1):
-            node = nodes.get(key[:depth])
-            if node is not None and len(node.cache) >= min_population:
-                return node.cache, depth
-        return nodes[""].cache, 0
+            cache = records.get(key[:depth], ())
+            if len(cache) >= min_population:
+                return cache, depth
+        return records[""], 0
 
     def nearest_in_group(
         self,
@@ -218,12 +217,12 @@ class GeoTree:
     ) -> Any | None:
         """Nearest record to ``point`` among the query's group bucket.
 
-        Walks to the deepest node on the key's path holding at least
+        Climbs to the deepest prefix of the key holding at least
         ``min_population`` records that carry the label ``group`` (or any
         label when ``group`` is None) and whose ids are not in the set
         ``exclude``; within that bucket the record with the smallest
         great-circle distance wins, ties broken by smallest id.  Falls back
-        to the root bucket when no node meets the threshold; returns None
+        to the root bucket when no prefix meets the threshold; returns None
         only when no matching record exists at all.
         """
         if group is not None and self.group_key is None:
@@ -231,15 +230,14 @@ class GeoTree:
         if isinstance(exclude, str):  # `in` would match substrings of it
             raise TypeError("exclude must be a set of ids, not a str")
         self._check_query(key, min_population)
-        nodes = self._nodes
         if self._unsorted:
-            for node in nodes.values():
-                for rows in node.groups.values():
+            for by_prefix in self._rows.values():
+                for rows in by_prefix.values():
                     rows.sort(key=_Z)
             self._unsorted = False
+        by_prefix = self._rows.get(group, {})
         for depth in range(len(key), 0, -1):
-            node = nodes.get(key[:depth])
-            rows = node.groups.get(group, ()) if node is not None else ()
+            rows = by_prefix.get(key[:depth], ())
             # excluded ids may lie outside this list, so count exactly only
             # when the bound that assumes all of them inside falls short
             if len(rows) >= min_population and (
@@ -247,9 +245,9 @@ class GeoTree:
                     or sum(row[3] not in exclude for row in rows) >= min_population):
                 break
         else:
-            rows = nodes[""].groups.get(group, ())
+            rows = by_prefix.get("", ())
         return _nearest_row(rows, point, exclude)
 
-    def walk(self) -> Iterable[tuple[str, _Node]]:
-        """Yield ``(prefix, node)`` over the whole tree, parents first."""
-        return iter(self._nodes.items())  # insert adds prefixes shortest first
+    def walk(self) -> Iterable[tuple[str, list]]:
+        """Yield ``(prefix, records)`` over the whole tree, parents first."""
+        return iter(self._records.items())  # insert adds prefixes shortest first

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
@@ -580,7 +581,7 @@ class TestCompare:
         a = tmp_path / "a.csv"
         write_series(a, [(m, 100 + i) for i, m in enumerate(months)])
         out = tmp_path / "cmp"
-        assert run("compare", str(a), "--output-dir", str(out), "--svg") == 0
+        assert run("compare", str(a), "--output-dir", str(out)) == 0
         chart = (out / "chart.svg").read_text()
         assert chart.startswith("<svg")
         assert "polyline" in chart
@@ -589,7 +590,7 @@ class TestCompare:
         a = tmp_path / "a&b<c>.csv"
         write_series(a, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
         out = tmp_path / "cmp"
-        assert run("compare", str(a), "--output-dir", str(out), "--svg") == 0
+        assert run("compare", str(a), "--output-dir", str(out)) == 0
         root = ElementTree.parse(out / "chart.svg").getroot()
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a&b<c>" in texts
@@ -638,6 +639,34 @@ class TestCompare:
         assert "--names" in err
         assert not out.exists()
 
+    def test_rerun_holds_exactly_the_second_runs_outputs(self, tmp_path):
+        a = tmp_path / "a.csv"
+        write_series(a, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
+        out = tmp_path / "cmp"
+        assert run("compare", str(a), "--output-dir", str(out), "--names", "first") == 0
+        assert run("compare", str(a), "--output-dir", str(out), "--names", "second") == 0
+        outputs = json.loads((out / "compare_manifest.json").read_text())["outputs"]
+        assert sorted(os.listdir(out)) == sorted([*outputs, "compare_manifest.json"])
+        chart = (out / "chart.svg").read_text()
+        assert "second" in chart and "first" not in chart
+
+    def test_two_month_index_series_gets_empty_metric_cells(self, tmp_path, capsys):
+        src = tmp_path / "two.csv"
+        write_raw_csv([make_raw(f"r{i}", lat=53.0 + 0.001 * i, price=200_000 + i,
+                                month=f"2015-0{1 + i % 2}") for i in range(6)], src)
+        indexed = tmp_path / "indexed"
+        assert run("index", "--input", str(src), "--output-dir", str(indexed)) == 0
+        out = tmp_path / "cmp"
+        assert run("compare", str(indexed / "index_series.csv"), "--output-dir", str(out)) == 0
+        assert ("warning: 2 shared month(s) are too short for smoothness metrics"
+                in capsys.readouterr().err)
+        with open(out / "comparison_table.csv", newline="") as handle:
+            assert list(csv.reader(handle)) == [
+                ["series", "std_dev", "std_dev_diffs", "msm", "spike_count"],
+                ["index_series", "", "", "", ""]]
+        assert len(list(csv.DictReader(open(out / "comparison_long.csv")))) == 2
+        assert (out / "chart.svg").read_text().startswith("<svg")
+
     def test_names_flag(self, tmp_path):
         a = tmp_path / "a.csv"
         write_series(a, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
@@ -659,7 +688,7 @@ def _run_argv(tmp_path, command):
     write_series(series, [(f"2015-{m:02d}", 100 + m * m) for m in range(1, 7)])
     return {"ingest": ["ingest", "--input", str(listings)],
             "index": ["index", "--input", str(listings)],
-            "compare": ["compare", str(series), "--svg"]}[command]
+            "compare": ["compare", str(series)]}[command]
 
 
 @pytest.mark.parametrize("command", ["ingest", "index", "compare", "synth"])
@@ -729,7 +758,7 @@ class TestEndToEnd:
         assert run(
             "compare",
             str(plain / "index_series.csv"), str(factored / "index_series.csv"),
-            "--output-dir", str(cmp_dir), "--names", "plain,factored", "--svg",
+            "--output-dir", str(cmp_dir), "--names", "plain,factored",
         ) == 0
         table = {row["series"]: row for row in csv.DictReader(open(cmp_dir / "comparison_table.csv"))}
         assert float(table["factored"]["msm"]) < float(table["plain"]["msm"])
@@ -760,3 +789,18 @@ def test_readme_flag_tables_match_the_config_classes():
     assert [row[:2] for row in rows] == [(flag, field) for flag, field, _ in expected]
     for (flag, field, default), (_, _, cls) in zip(rows, expected):
         assert cli._parse_value(getattr(cls(), field), default) == getattr(cls(), field), flag
+
+
+def test_readme_command_lines_parse():
+    """Every ``geohpi ...`` command line in README's code blocks, continuation
+    lines joined, parses with the CLI's own parser, so a removed flag cannot
+    linger in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```")[1::2]
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("geohpi ")]
+    assert {argv[0] for argv in commands} == {"synth", "ingest", "index", "compare"}
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

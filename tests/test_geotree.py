@@ -20,50 +20,59 @@ def build_tree(records, keys, key_length, group_key=lambda r: r.month_key):
     return tree
 
 
-def root_of(tree):
-    prefix, node = next(iter(tree.walk()))
+def root_records(tree):
+    prefix, records = next(iter(tree.walk()))
     assert prefix == ""
-    return node
+    return records
 
 
 def assert_caches_are_unions(tree):
-    """Each node's records are the multiset union of the records of the nodes
-    one character longer; walk() yields parents first and no empty node."""
+    """Each prefix's records are the multiset union of the records of the
+    prefixes one character longer; walk() yields parents first and no empty
+    list but the root's of an empty tree."""
     own: dict[str, Counter] = {}
     below: dict[str, Counter] = {}
-    for prefix, node in tree.walk():
+    for prefix, records in tree.walk():
         assert len(prefix) <= tree.key_length
-        assert node.cache or not prefix
+        assert records or not prefix
         if prefix:
             assert prefix[:-1] in own  # parents first
-            below[prefix[:-1]].update(r.id for r in node.cache)
-        own[prefix] = Counter(r.id for r in node.cache)
+            below[prefix[:-1]].update(r.id for r in records)
+        own[prefix] = Counter(r.id for r in records)
         below[prefix] = Counter()
     for prefix, ids in own.items():
         assert below[prefix] == (ids if len(prefix) < tree.key_length else Counter())
 
 
 def assert_rows_follow_cache(tree):
-    """Every node keeps one packed row per cached record under ``None``: the
+    """Every prefix keeps one packed row per record under ``None``: the
     record's unit vector ``(z, x, y)`` with ``z = sin(lat)``, its id and the
-    record.  Each label's rows are the same multiset as the ``None`` rows
-    with that label, an ungrouped tree keeps no other label, and after one
-    query every list is sorted by ``z``."""
+    record.  A label holds rows at exactly the prefixes whose ``None`` rows
+    carry it, the same multiset as those rows; an ungrouped tree keeps no
+    other label, no map holds an empty list, and after one query every list
+    is sorted by ``z``."""
     tree.nearest_in_group("0" * tree.key_length, GeoPoint(0.0, 0.0))
-    for _, node in tree.walk():
-        everything = node.groups[None]
-        assert Counter(id(row[4]) for row in everything) == Counter(map(id, node.cache))
+    rows_of = tree._rows
+    assert list(rows_of[None]) == [prefix for prefix, _ in tree.walk()]
+    if tree.group_key is None:
+        assert list(rows_of) == [None]
+    for prefix, records in tree.walk():
+        everything = rows_of[None][prefix]
+        assert Counter(id(row[4]) for row in everything) == Counter(map(id, records))
         for z, x, y, rid, record in everything:
             phi = math.radians(record.point.lat)
             lam = math.radians(record.point.lng)
             assert (z, x, y, rid) == (
                 math.sin(phi), math.cos(phi) * math.cos(lam),
                 math.cos(phi) * math.sin(lam), record.id)
-        if tree.group_key is None:
-            assert list(node.groups) == [None]
-        for label, rows in node.groups.items():
+        labels = ({tree.group_key(r) for r in records} - {None}) if tree.group_key else set()
+        assert {label for label in rows_of if prefix in rows_of[label]} == {None, *labels}
+    for label, by_prefix in rows_of.items():
+        for prefix, rows in by_prefix.items():
+            assert rows
             assert all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
             if label is not None:
+                everything = rows_of[None][prefix]
                 assert Counter(map(id, rows)) == Counter(
                     id(row) for row in everything if tree.group_key(row[4]) == label)
 
@@ -81,7 +90,7 @@ class TestInsert:
         record = make_record("a", 53.0, -7.0, 100_000)
         tree = GeoTree(5)
         tree.insert("gc7x9", record)
-        assert root_of(tree).cache == [record]
+        assert root_records(tree) == [record]
         assert len(tree) == 1
 
     def test_identical_keys_share_deepest_node(self):
@@ -109,7 +118,8 @@ class TestInsert:
         with pytest.raises(ValueError):
             tree.insert("0a0", make_record("a", 53.0, -7.0, 100_000))
         assert len(tree) == 0
-        assert [(prefix, node.cache) for prefix, node in tree.walk()] == [("", [])]
+        assert list(tree.walk()) == [("", [])]
+        assert tree._rows == {None: {"": []}}
 
     def test_cache_sizes_sum_over_children(self):
         rng = random.Random(7)
@@ -326,7 +336,7 @@ def test_cache_coherence_property(keys):
     tree = GeoTree(4)
     for i, key in enumerate(keys):
         tree.insert(key, make_record(f"r{i:03d}", 53.0, -7.0, 100_000))
-    assert len(root_of(tree).cache) == len(keys)
+    assert len(root_records(tree)) == len(keys)
     assert {prefix for prefix, _ in tree.walk()} == {
         key[:d] for key in keys for d in range(5)
     }
