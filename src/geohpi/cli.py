@@ -38,6 +38,8 @@ from .index_engine import (
 from .ingestion import (
     CsvSchema,
     SchemaError,
+    add_months,
+    column_positions,
     filter_listings,
     is_finite_float,
     parse_listings,
@@ -327,15 +329,31 @@ def cmd_index(args) -> None:
               f"msm={stats.msm:.4f} sd_diffs={stats.std_dev_diffs:.4f}")
 
 
+def _is_month(text: str) -> bool:
+    """Whether ``text`` is a calendar month written ``YYYY-MM``."""
+    try:
+        return len(text) == 7 and add_months(text, 0) == text
+    except ValueError:
+        return False
+
+
 def _read_series_csv(path: str) -> tuple[dict[str, float], object]:
     """A ``month,value`` series file: ({month: value}, SHA-256 of its bytes)."""
     with _user_file(path) as (handle, digest):
-        reader = csv.DictReader(handle, restval="")
-        if reader.fieldnames is None or not {"month", "value"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: expected columns month,value")
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        try:
+            month_at, value_at = column_positions(header, ["month", "value"])
+        except SchemaError as exc:
+            raise DataError(f"{path}: {exc}") from exc
         series: dict[str, float] = {}
         for row in reader:
-            month, text = row["month"], row["value"]
+            if not row:
+                continue  # a blank line
+            row += [""] * (len(header) - len(row))
+            month, text = row[month_at], row[value_at]
+            if not _is_month(month):
+                raise DataError(f"{path}:{reader.line_num}: month {month!r} is not YYYY-MM")
             if not is_finite_float(text):
                 raise DataError(f"{path}:{reader.line_num}: non-numeric value {text!r}")
             if month in series:

@@ -14,6 +14,7 @@ import csv
 import datetime
 import math
 from dataclasses import asdict, dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,7 +26,7 @@ MAX_BEDROOMS = 6
 
 
 class SchemaError(ValueError):
-    """A mapped column is missing from the CSV header."""
+    """A mapped column is missing from the CSV header, or repeated in it."""
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,8 @@ def add_months(month: str, count: int) -> str:
     return f"{idx // 12:04d}-{idx % 12 + 1:02d}"
 
 
-def _opt_number(text: str | None, convert, label: str, problems: list[str]):
+def _opt_number(text: str, convert, label: str, problems: list[str]):
     """``convert(text)``; None when blank or malformed, with the problem noted."""
-    text = (text or "").strip()
     if not text:
         return None
     try:
@@ -154,43 +154,63 @@ def is_finite_float(text: str) -> bool:
         return False
 
 
+def column_positions(header: list[str] | None, names: Sequence[str]) -> list[int]:
+    """The position of each of ``names`` in a CSV ``header`` row.
+
+    Raises SchemaError when there is no header, or when a name is absent
+    from it or appears in it more than once.
+    """
+    if header is None:
+        raise SchemaError("input has no header row")
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise SchemaError(f"missing mapped column(s): {', '.join(missing)}")
+    repeated = [name for name in names if header.count(name) > 1]
+    if repeated:
+        raise SchemaError(f"repeated mapped column(s): {', '.join(repeated)}")
+    return [header.index(name) for name in names]
+
+
 def parse_listings(
     source, schema: CsvSchema = CsvSchema()
 ) -> tuple[list[RawListing], list[ParseError]]:
     """Parse a CSV path or text stream into raw listings.
 
-    Malformed rows are collected as parse errors with their file row
-    number, never silently dropped.  Raises SchemaError when a mapped
-    column is absent from the header.
+    Mapped columns may come in any order, each exactly once (else SchemaError).
+    Blank lines are skipped, a short row reads blank cells and a long row's
+    extra cells are ignored.  Malformed rows become parse errors with their
+    file line, never silently dropped.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return parse_listings(handle, schema)
 
-    reader = csv.DictReader(source)
-    header = reader.fieldnames
-    if header is None:
-        raise SchemaError("input has no header row")
-    required = [schema.id, schema.date, schema.price, schema.lat, schema.lng,
-                schema.bedrooms]
-    if schema.dwelling_type is not None:
-        required.append(schema.dwelling_type)
-    missing = [col for col in required if col not in header]
-    if missing:
-        raise SchemaError(f"missing mapped column(s): {', '.join(missing)}")
+    reader = csv.reader(source)
+    header = next(reader, None)
+    columns = [schema.id, schema.date, schema.price, schema.lat, schema.lng,
+               schema.bedrooms, schema.dwelling_type]
+    positions = column_positions(header, [c for c in columns if c is not None])
+    width = len(header)
+    if schema.dwelling_type is None:
+        positions.append(width)  # the blank cell appended to every row
+    cells = itemgetter(*positions)
 
     records: list[RawListing] = []
     errors: list[ParseError] = []
     seen_ids: set[str] = set()
     for row in reader:
-        row_no = reader.line_num  # blank lines and quoted newlines count
+        if len(row) != width:
+            if not row:
+                continue  # a blank line
+            row = (row + [""] * width)[:width]
+        row.append("")
+        rid, date_text, price_text, lat_text, lng_text, bed_text, dwelling = map(
+            str.strip, cells(row))
         problems: list[str] = []
-        rid = (row.get(schema.id) or "").strip()
         if not rid:
             problems.append("missing id")
         elif rid in seen_ids:
             problems.append(f"duplicate id {rid!r}")
-        date_text = (row.get(schema.date) or "").strip()
         list_date: datetime.date | None = None
         if not date_text:
             problems.append("missing date")
@@ -202,27 +222,23 @@ def parse_listings(
                 list_date = datetime.date.fromisoformat(date_text)
             except ValueError:
                 problems.append(f"bad date {date_text!r}")
-        price = _opt_number(row.get(schema.price), int, "price", problems)
-        lat = _opt_number(row.get(schema.lat), float, "latitude", problems)
-        lng = _opt_number(row.get(schema.lng), float, "longitude", problems)
+        price = _opt_number(price_text, int, "price", problems)
+        lat = _opt_number(lat_text, float, "latitude", problems)
+        lng = _opt_number(lng_text, float, "longitude", problems)
         if lat is not None and not -90.0 <= lat <= 90.0:
             problems.append(f"latitude {lat!r} out of range")
         if lng is not None and not -180.0 <= lng <= 180.0:
             problems.append(f"longitude {lng!r} out of range")
-        bedrooms = _opt_number(row.get(schema.bedrooms), int, "bedrooms", problems)
+        bedrooms = _opt_number(bed_text, int, "bedrooms", problems)
         if bedrooms is not None and bedrooms < 0:
             problems.append(f"negative bedroom count {bedrooms!r}")
-        dwelling = None
-        if schema.dwelling_type is not None:
-            dwelling = (row.get(schema.dwelling_type) or "").strip() or None
         if problems:
-            errors.append(ParseError(row_no, "; ".join(problems)))
+            errors.append(ParseError(reader.line_num, "; ".join(problems)))
             continue
         assert list_date is not None
         seen_ids.add(rid)
-        records.append(
-            RawListing(rid, list_date, price, lat, lng, bedrooms, dwelling)
-        )
+        records.append(RawListing(rid, list_date, price, lat, lng, bedrooms,
+                                  dwelling or None))
     return records, errors
 
 

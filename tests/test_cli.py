@@ -224,6 +224,19 @@ class TestIngest:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["ingest", "index"])
+def test_repeated_listings_column_is_data_error(tmp_path, capsys, command):
+    src = tmp_path / "raw.csv"
+    src.write_text("id,date,price,lat,lng,bedrooms,type,price\n"
+                   "a1,2015-03-02,250000,53.35,-6.26,3,house,999\n")
+    out = tmp_path / "o"
+    assert run(command, "--input", str(src), "--output-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "error: repeated mapped column(s): price" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestIndex:
     def test_constant_prices_chart_flat(self, tmp_path):
         data = synth(tmp_path)
@@ -612,7 +625,12 @@ class TestCompare:
          "non-numeric value 'nan'"),
         ([("2015-01", 100), ("2015-02", 101), ("2015-02", 102), ("2015-03", 103)], 4,
          "repeated month '2015-02'"),
-    ], ids=["missing_value", "nan", "repeated_month"])
+        ([("2015-01", 100), ("2015-2", 101), ("2015-03", 102)], 3,
+         "month '2015-2' is not YYYY-MM"),
+        ([("2015-12", 100), ("2015-13", 101)], 3, "month '2015-13' is not YYYY-MM"),
+        ([("2015-01", 100), ("", 101)], 3, "month '' is not YYYY-MM"),
+    ], ids=["missing_value", "nan", "repeated_month", "unpadded_month",
+            "thirteenth_month", "blank_month"])
     def test_bad_series_row_is_data_error_naming_its_line(self, tmp_path, capsys,
                                                           rows, line, problem):
         a = tmp_path / "a.csv"
@@ -621,6 +639,20 @@ class TestCompare:
         assert run("compare", str(a), "--output-dir", str(out)) == 2
         err = capsys.readouterr().err
         assert f"error: {a}:{line}: {problem}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["month,value,value", "month,value,month",
+                                        "value,month,value"])
+    def test_repeated_series_column_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                                  header):
+        a = tmp_path / "a.csv"
+        a.write_text(header + "\n" + "".join(f"2015-{m:02d},{m},{m + 4}\n"
+                                              for m in range(1, 4)))
+        out = tmp_path / "cmp"
+        assert run("compare", str(a), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {a}: repeated mapped column(s): " in err
         assert "Traceback" not in err
         assert not out.exists()
 

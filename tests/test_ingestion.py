@@ -135,9 +135,55 @@ class TestParse:
         assert records[1].dwelling_type == "semi-\ndetached"
         assert [e.row for e in errors] == [4, 7, 9]
 
+    def test_row_layouts(self):
+        # columns in any order among unmapped ones; short, long and blank rows
+        text = (
+            "note,bedrooms,lng,type,lat,price,date,id,agent\n"
+            + "x,3,-6.26,house,53.35,250000,2015-03-02,a1,y\n"       # line 2
+            + "\n"                                                    # line 3
+            + "x,2,-6.27,flat,53.36,260000,2015-03-03,a2,y,spare,more\n"
+            + "x,4,-6.28\n"                                           # line 5, short
+            + "\n"
+            + ",,,,,,2015-03-05,a4\n"                                 # line 7, short
+            + "x,2,-6.29,,53.37,cheap,2015-03-06,b1,y,spare\n"        # line 8, long
+        )
+        records, errors = parse(text)
+        assert [(r.id, r.bedrooms, r.lng, r.dwelling_type, r.lat, r.price)
+                for r in records] == [
+            ("a1", 3, -6.26, "house", 53.35, 250000),
+            ("a2", 2, -6.27, "flat", 53.36, 260000),
+            ("a4", None, None, None, None, None),
+        ]
+        assert [(e.row, e.message) for e in errors] == [
+            (5, "missing id; missing date"),
+            (8, "non-numeric price 'cheap'"),
+        ]
+        assert filter_listings(records)[1].missing_geo_or_bedrooms == 1
+
+        # a schema without a type column reads no type, even from a long row
+        untyped = "id,date,price,lat,lng,bedrooms\n" + (
+            "a1,2015-03-02,250000,53.35,-6.26,3\n"
+            + "a2,2015-03-02,250000,53.35,-6.26,3,house\n"
+            + "a3,2015-03-02,250000,53.35\n"
+        )
+        records, errors = parse(untyped, CsvSchema.from_spec("type="))
+        assert errors == []
+        assert [(r.id, r.bedrooms, r.dwelling_type) for r in records] == [
+            ("a1", 3, None), ("a2", 3, None), ("a3", None, None)]
+        assert filter_listings(records)[1].missing_geo_or_bedrooms == 1
+
     def test_missing_mapped_column_is_schema_error(self):
         with pytest.raises(SchemaError, match="price"):
             parse("id,date,lat,lng,bedrooms,type\na,2015-01-01,1,2,3,h\n")
+
+    def test_repeated_mapped_column_is_schema_error(self):
+        with pytest.raises(SchemaError, match="repeated mapped column.*price"):
+            parse("id,date,price,lat,lng,bedrooms,type,price\n"
+                  "a1,2015-03-02,250000,53.35,-6.26,3,house,999\n")
+        # an unmapped column may repeat
+        records, errors = parse("note,id,date,price,lat,lng,bedrooms,type,note\n"
+                                "x,a1,2015-03-02,250000,53.35,-6.26,3,house,y\n")
+        assert errors == [] and [r.price for r in records] == [250000]
 
     def test_headerless_input_is_schema_error(self):
         with pytest.raises(SchemaError):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import geohpi
@@ -33,3 +36,18 @@ def test_readme_library_import_block_runs():
     namespace: dict = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["GeoTree"] is geohpi.GeoTree
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    """``import geohpi.cli`` loads none of these: each raises the peak RSS of
+    every run, and ``plotting`` imports ``xml.sax`` only when it draws."""
+    heavy = ["xml.sax", "urllib.request", "ssl", "email"]
+    src = Path(geohpi.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, geohpi.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
