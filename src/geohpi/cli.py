@@ -319,6 +319,8 @@ def cmd_index(args) -> None:
     _write_run(args.output_dir, "index", asdict(config), [(args.input, digest)], files,
                {**read_timings, **result.timings}, schema=asdict(schema),
                records={"parsed": report.total, "parse_errors": len(errors),
+                        "rejected": {rule: count for rule, count in asdict(report).items()
+                                     if rule not in ("total", "surviving")},
                         "filtered": report.surviving,
                         "after_voting": result.voting.survivors})
     if stats is None:

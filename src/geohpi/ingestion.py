@@ -23,6 +23,9 @@ from .geocode import GeoPoint
 PRICE_FLOOR = 10_000
 PRICE_CEIL = 1_000_000
 MAX_BEDROOMS = 6
+# One parse keeps at most this many distinct dwelling types and error
+# messages as shared strings; later new texts are kept as they are.
+SHARED_TEXTS = 1024
 
 
 class SchemaError(ValueError):
@@ -138,6 +141,8 @@ def _opt_number(text: str, convert, label: str, problems: list[str]):
     if not text:
         return None
     try:
+        if "_" in text:  # int and float read it as a digit separator
+            raise ValueError
         return convert(text)
     except ValueError:
         problems.append(f"{label} {text!r} is not a whole number"
@@ -147,7 +152,9 @@ def _opt_number(text: str, convert, label: str, problems: list[str]):
 
 
 def is_finite_float(text: str) -> bool:
-    """Whether ``float(text)`` parses to a finite number."""
+    """Whether ``text`` is a finite number, written without ``_`` separators."""
+    if "_" in text:
+        return False
     try:
         return math.isfinite(float(text))
     except ValueError:
@@ -180,6 +187,11 @@ def parse_listings(
     Blank lines are skipped, a short row reads blank cells and a long row's
     extra cells are ignored.  Malformed rows become parse errors with their
     file line, never silently dropped.
+
+    A value that repeats across rows is kept once: rows with the same date
+    text share one ``date``, and equal dwelling types and equal error
+    messages share one string, up to ``SHARED_TEXTS`` distinct strings
+    per call.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
@@ -198,6 +210,8 @@ def parse_listings(
     records: list[RawListing] = []
     errors: list[ParseError] = []
     seen_ids: set[str] = set()
+    dates: dict[str, datetime.date] = {}  # each valid date text seen
+    shared: dict[str, str] = {}  # dwelling types and error messages
     for row in reader:
         if len(row) != width:
             if not row:
@@ -211,15 +225,15 @@ def parse_listings(
             problems.append("missing id")
         elif rid in seen_ids:
             problems.append(f"duplicate id {rid!r}")
-        list_date: datetime.date | None = None
-        if not date_text:
+        list_date = dates.get(date_text)
+        if list_date is None and not date_text:
             problems.append("missing date")
-        else:
+        elif list_date is None:
             try:
                 # fromisoformat also takes 20150302 and 2015-W10-1 from Python 3.11 on
                 if len(date_text) != 10 or date_text[4] != "-" or date_text[7] != "-":
                     raise ValueError
-                list_date = datetime.date.fromisoformat(date_text)
+                list_date = dates[date_text] = datetime.date.fromisoformat(date_text)
             except ValueError:
                 problems.append(f"bad date {date_text!r}")
         price = _opt_number(price_text, int, "price", problems)
@@ -233,13 +247,21 @@ def parse_listings(
         if bedrooms is not None and bedrooms < 0:
             problems.append(f"negative bedroom count {bedrooms!r}")
         if problems:
-            errors.append(ParseError(reader.line_num, "; ".join(problems)))
+            errors.append(ParseError(reader.line_num,
+                                     _share(shared, "; ".join(problems))))
             continue
         assert list_date is not None
         seen_ids.add(rid)
         records.append(RawListing(rid, list_date, price, lat, lng, bedrooms,
-                                  dwelling or None))
+                                  _share(shared, dwelling) if dwelling else None))
     return records, errors
+
+
+def _share(shared: dict[str, str], text: str) -> str:
+    """The string in ``shared`` equal to ``text``, adding ``text`` while there is room."""
+    if len(shared) < SHARED_TEXTS:
+        return shared.setdefault(text, text)
+    return shared.get(text, text)
 
 
 def filter_listings(

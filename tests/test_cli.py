@@ -420,6 +420,23 @@ class TestIndex:
         assert manifest["records"]["parse_errors"] == 1
         assert manifest["records"]["parsed"] == manifest["records"]["filtered"] == 180
 
+    def test_manifest_records_rejections_per_rule(self, tmp_path):
+        listings = (synth(tmp_path) / "listings.csv").read_text()
+        src = tmp_path / "raw.csv"
+        src.write_text(listings
+                       + "x1,2015-01-15,200000,,-6.2,3,\n"
+                       + "x2,2015-01-15,200000,53.3,-6.2,0,\n"
+                       + "x3,2015-01-15,200000,53.3,-6.2,7,\n"
+                       + "x4,2015-01-15,,53.3,-6.2,3,\n"
+                       + "x5,2015-01-15,5000,53.3,-6.2,3,\n")
+        out = tmp_path / "indexed"
+        assert run("index", "--input", str(src), "--output-dir", str(out)) == 0
+        records = json.loads((out / "index_manifest.json").read_text())["records"]
+        assert records["rejected"] == {"missing_geo_or_bedrooms": 2,
+                                       "too_many_bedrooms": 1, "missing_price": 1,
+                                       "price_out_of_bounds": 1}
+        assert records["parsed"] == 185 and records["filtered"] == 180
+
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         data = synth(tmp_path)
         assert run("index", "--input", str(data / "listings.csv"),
@@ -623,13 +640,15 @@ class TestCompare:
         ([("2015-01", 100), ("2015-02",), ("2015-03", 102)], 3, "non-numeric value ''"),
         ([("2015-01", 100), ("2015-02", "nan"), ("2015-03", 102)], 3,
          "non-numeric value 'nan'"),
+        ([("2015-01", 100), ("2015-02", "1_01"), ("2015-03", 102)], 3,
+         "non-numeric value '1_01'"),
         ([("2015-01", 100), ("2015-02", 101), ("2015-02", 102), ("2015-03", 103)], 4,
          "repeated month '2015-02'"),
         ([("2015-01", 100), ("2015-2", 101), ("2015-03", 102)], 3,
          "month '2015-2' is not YYYY-MM"),
         ([("2015-12", 100), ("2015-13", 101)], 3, "month '2015-13' is not YYYY-MM"),
         ([("2015-01", 100), ("", 101)], 3, "month '' is not YYYY-MM"),
-    ], ids=["missing_value", "nan", "repeated_month", "unpadded_month",
+    ], ids=["missing_value", "nan", "underscore", "repeated_month", "unpadded_month",
             "thirteenth_month", "blank_month"])
     def test_bad_series_row_is_data_error_naming_its_line(self, tmp_path, capsys,
                                                           rows, line, problem):

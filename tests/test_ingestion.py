@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geohpi.ingestion import (
+    SHARED_TEXTS,
     CsvSchema,
     FiltrationReport,
     ListingRecord,
+    ParseError,
     RawListing,
     SchemaError,
     filter_listings,
     add_months,
+    is_finite_float,
     month_key_of,
     parse_listings,
     write_listings_csv,
@@ -64,6 +67,22 @@ class TestParse:
             "non-numeric price 'cheap'; non-numeric bedrooms 'three'",
             "non-numeric price 'nan'; non-numeric latitude 'north'",
         ]
+
+    def test_underscore_in_a_number_is_non_numeric(self):
+        # int and float read "_" as a digit separator; a listing feed does not
+        records, errors = parse(HEADER + "a,2015-01-02,250_000,5_3.3,-6.2,3,house\n"
+                                + "b,2015-01-02,250000,53.3,-6.2_5,1_0,house\n")
+        assert records == []
+        assert [e.message for e in errors] == [
+            "non-numeric price '250_000'; non-numeric latitude '5_3.3'",
+            "non-numeric longitude '-6.2_5'; non-numeric bedrooms '1_0'",
+        ]
+
+    @pytest.mark.parametrize("text, finite", [
+        ("101.5", True), ("-2e3", True), ("1_01", False), ("1_0.5", False),
+    ])
+    def test_is_finite_float(self, text, finite):
+        assert is_finite_float(text) is finite
 
     def test_missing_fields_parse_as_none(self):
         records, errors = parse(HEADER + "a1,2015-03-02,,,,,\n")
@@ -197,6 +216,60 @@ class TestParse:
         records, errors = parse(text, schema)
         assert errors == []
         assert records[0].id == "x" and records[0].dwelling_type is None
+
+
+class TestSharedValues:
+    """A value repeated across rows is kept as one object."""
+
+    FEED = HEADER + (
+        "a1,2015-03-02,250000,53.35,-6.26,3,house\n"
+        "a2,2015-03-02,260000,53.36,-6.27,2,house\n"
+        "b1,2015-02-30,cheap,53.35,-6.26,3,flat\n"
+        "a3,2015-03-03,270000,53.37,-6.28,4,flat\n"
+        "b2,2015-02-30,cheap,53.35,-6.26,3,house\n"
+        "a4,2015-03-02,,,,,\n"
+        "b3,,cheap,53.35,-6.26,3,house\n"
+    )
+
+    def test_records_and_errors_are_unchanged(self):
+        records, errors = parse(self.FEED)
+        day, next_day = datetime.date(2015, 3, 2), datetime.date(2015, 3, 3)
+        assert records == [
+            RawListing("a1", day, 250000, 53.35, -6.26, 3, "house"),
+            RawListing("a2", day, 260000, 53.36, -6.27, 2, "house"),
+            RawListing("a3", next_day, 270000, 53.37, -6.28, 4, "flat"),
+            RawListing("a4", day, None, None, None, None, None),
+        ]
+        assert errors == [
+            ParseError(4, "bad date '2015-02-30'; non-numeric price 'cheap'"),
+            ParseError(6, "bad date '2015-02-30'; non-numeric price 'cheap'"),
+            ParseError(8, "missing date; non-numeric price 'cheap'"),
+        ]
+
+    def test_same_date_text_shares_one_date(self):
+        records, _ = parse(self.FEED)
+        a1, a2, a3, a4 = (r.list_date for r in records)
+        assert a1 is a2 is a4
+        assert a3 is not a1
+
+    def test_equal_types_and_equal_messages_share_one_string(self):
+        records, errors = parse(self.FEED)
+        assert records[0].dwelling_type is records[1].dwelling_type
+        assert records[2].dwelling_type == "flat"
+        assert errors[0].message is errors[1].message
+
+    def test_feed_with_more_distinct_messages_than_the_table_holds(self):
+        distinct = SHARED_TEXTS + 300
+        lines = [f"b{i},2015-01-02,p{i % distinct},53.3,-6.2,3,house\n"
+                 for i in range(2 * distinct)]
+        records, errors = parse(HEADER + "".join(lines))
+        assert records == []
+        assert [(e.row, e.message) for e in errors] == [
+            (i + 2, f"non-numeric price 'p{i % distinct}'") for i in range(2 * distinct)]
+        # the first SHARED_TEXTS messages are shared, the rest kept per row
+        first, second = errors[:distinct], errors[distinct:]
+        shared = [a.message is b.message for a, b in zip(first, second)]
+        assert shared == [True] * SHARED_TEXTS + [False] * (distinct - SHARED_TEXTS)
 
 
 class TestSchemaSpec:
