@@ -24,7 +24,6 @@ import io
 import json
 import sys
 import time
-import traceback
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -241,8 +240,11 @@ def _value_kind(default) -> str:
 def _parse_value(default, text: str):
     """``text`` typed by a config field's ``default``, for flags and ``--config`` lines
     alike: a boolean spelled as in ``_BOOLEANS``, comma-separated floats for a tuple,
-    semicolon-separated rows of them for a tuple of tuples, else ``type(default)``."""
+    semicolon-separated rows of them for a tuple of tuples, else ``type(default)``.
+    A number may not contain ``_``, as in listings."""
     try:
+        if "_" in text and not isinstance(default, str):  # int and float read it as a separator
+            raise ValueError
         if isinstance(default, bool):
             return _BOOLEANS[text.lower()]
         if isinstance(default, tuple) and isinstance(default[0], tuple):
@@ -474,6 +476,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback  # loaded only here: every other run is spared its imports
+
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3

@@ -1,22 +1,26 @@
-"""Fixed-depth prefix tree over geohash-style keys, kept as two prefix maps.
+"""Fixed-depth prefix tree over geohash-style keys, kept as prefix maps.
 
-One maps each key prefix present (the root is ``""``) to its records in
-insertion order; the other maps each label to the same prefixes' packed
-rows.  A query checks its arguments once, then climbs the key's own
+Each map sends every key prefix present (the root is ``""``) to a list:
+the records under it in insertion order, or the packed rows of those that
+carry one label.  A query checks its arguments once, then climbs the key's own
 prefixes, longest first, to the deepest one with enough records, else the
 root: at most ``key_length`` dictionary lookups, whatever the number of
 records.  All keys have the tree's fixed length (geohash precision plus any
 prepended parameter characters).
 
 A packed row is ``(z, x, y, id, record)``, ``(x, y, z)`` the point's unit
-vector with ``z = sin(lat)`` first, kept under the label ``None`` and, in a
-tree with a ``group_key``, again under its own label.  A nearest-neighbour
-query scores one row list by squared chord, with no trig calls.  Each list
-is kept sorted by ``z``: an insert marks the tree unsorted, and the next
-``nearest_in_group`` sorts every list once.  The query bisects to its own
-``z`` and scans outward both ways, stopping once ``(z - qz)**2`` alone
-exceeds a margin around the least chord seen so far; rows within it are
-compared again by ``(haversine_distance, id)``, see ``_nearest_row``.
+vector with ``z = sin(lat)`` first.  A nearest-neighbour query scores one
+row list by squared chord, with no trig calls.  Each list is kept sorted by
+``z``: an insert marks the tree unsorted, and the next ``nearest_in_group``
+sorts every list once.  The query bisects to its own ``z`` and scans
+outward both ways, stopping once ``(z - qz)**2`` alone exceeds a margin
+around the least chord seen so far; rows within it are compared again by
+``(haversine_distance, id)``, see ``_nearest_row``.
+
+A tree keeps up front only the maps its own queries read, plus a log of
+every key and row in insert order.  Every other map is built from the log
+on first use and kept current by later inserts, never rebuilt; see
+``GeoTree``.
 
 The tree is write-once: build it, then query it.  Deletion and rebalancing
 are deliberately unsupported, and queries return the maps' live lists;
@@ -34,6 +38,7 @@ from .geocode import ALPHABET, GeoPoint, haversine_distance
 
 _ALPHABET_SET = frozenset(ALPHABET)
 _Z = itemgetter(0)
+_RECORD = itemgetter(4)
 # Rows whose chord is within this relative margin plus this absolute one (in
 # Earth radii, about 6 micrometres) of the least chord are compared again in
 # metres; see _nearest_row.
@@ -126,14 +131,36 @@ def _nearest_row(rows: list, point: GeoPoint, exclude: AbstractSet) -> Any | Non
     return min(close, key=rank)[4]
 
 
+def _add(by_prefix: dict[str, list], key: str, item: Any) -> None:
+    """Append ``item`` at every prefix of ``key`` in ``by_prefix``, shortest first."""
+    for depth in range(len(key) + 1):
+        prefix = key[:depth]
+        items = by_prefix.get(prefix)
+        if items is None:  # a one-item list, not append's four slots
+            by_prefix[prefix] = [item]
+        else:
+            items.append(item)
+
+
 class GeoTree:
     """Prefix tree mapping every key prefix present to the records under it.
 
     ``group_key`` optionally labels each record (typically with its listing
-    month); each prefix's rows are kept per label as well as all under
-    ``None``, so each climb step reads its candidates in one dictionary
-    lookup.  No map holds an empty list, save the root's in an empty tree.
-    Records must expose ``.id`` (orderable, unique) and ``.point`` (GeoPoint).
+    month), so each climb step reads its candidates in one dictionary
+    lookup.  Which maps are built when:
+
+    - a tree without ``group_key`` keeps its rows under the label ``None``
+      from the first insert;
+    - a tree with one keeps each label's rows under that label; a record
+      labelled ``None`` is kept only in the log;
+    - a tree with one builds the rows of every label, under ``None``, on
+      the first ``nearest_in_group`` with ``group=None``;
+    - every tree builds ``prefix -> records`` on the first ``scb_query``
+      or ``walk()``.
+
+    Every map lists its prefixes in the order inserts first reached them.
+    No map holds an empty list, save the root's in an empty tree.  Records
+    must expose ``.id`` (orderable, unique) and ``.point`` (GeoPoint).
     """
 
     def __init__(self, key_length: int,
@@ -142,12 +169,16 @@ class GeoTree:
             raise ValueError("key_length must be at least 1")
         self.key_length = key_length
         self.group_key = group_key
-        self._records: dict[str, list] = {"": []}  # prefix -> records
-        self._rows: dict[Hashable, dict[str, list]] = {None: {"": []}}  # label -> prefix -> rows
+        self._keys: list[str] = []  # every inserted key, in insert order
+        self._log: list[tuple] = []  # the row of each of _keys
+        # label -> prefix -> rows; all rows under None, built up front when unlabelled
+        self._rows: dict[Hashable, dict[str, list]] = (
+            {None: {"": []}} if group_key is None else {})
+        self._records: dict[str, list] | None = None  # prefix -> records, once built
         self._unsorted = False  # an insert since the row lists were last sorted
 
     def __len__(self) -> int:
-        return len(self._records[""])
+        return len(self._log)
 
     def _check_length(self, key: str) -> None:
         if len(key) != self.key_length:
@@ -155,40 +186,43 @@ class GeoTree:
                 f"key {key!r} has length {len(key)}, tree expects {self.key_length}"
             )
 
+    def _from_log(self, items: Iterable) -> dict[str, list]:
+        """``prefix -> items``, one item per logged key, in insert order."""
+        by_prefix: dict[str, list] = {"": []}
+        for key, item in zip(self._keys, items):
+            _add(by_prefix, key, item)
+        return by_prefix
+
     def insert(self, key: str, record: Any) -> None:
-        """Append ``record``, and its row, at every prefix of ``key``."""
+        """Append ``record``, and its row, at every prefix of ``key`` in each map built."""
         self._check_length(key)
         for c in key:  # validate before touching any map
             if c not in _ALPHABET_SET:
                 raise ValueError(f"key character {c!r} outside the geohash alphabet")
         label = self.group_key(record) if self.group_key is not None else None
         row = (*_unit_vector(record.point), record.id, record)
-        records = self._records
-        everything = self._rows[None]
-        labelled = self._rows.setdefault(label, {}) if label is not None else None
+        self._keys.append(key)
+        self._log.append(row)
         self._unsorted = True
-        for depth in range(len(key) + 1):
-            prefix = key[:depth]
-            cache = records.get(prefix)
-            if cache is None:  # a one-row list, not append's four slots
-                records[prefix] = [record]
-                everything[prefix] = [row]
-            else:
-                cache.append(record)
-                everything[prefix].append(row)
-            if labelled is not None:
-                rows = labelled.get(prefix)
-                if rows is None:
-                    labelled[prefix] = [row]
-                else:
-                    rows.append(row)
+        rows = self._rows
+        if label is not None:
+            _add(rows.setdefault(label, {}), key, row)
+        if None in rows:
+            _add(rows[None], key, row)
+        if self._records is not None:
+            _add(self._records, key, record)
 
     def _check_query(self, key: str, min_population: int) -> None:
         if min_population < 1:
             raise ValueError("min_population must be at least 1")
-        if not self._records[""]:
+        if not self._log:
             raise EmptyTreeError("query on an empty tree")
         self._check_length(key)
+
+    def _records_by_prefix(self) -> dict[str, list]:
+        if self._records is None:
+            self._records = self._from_log(map(_RECORD, self._log))
+        return self._records
 
     def scb_query(self, key: str, min_population: int = 1) -> tuple[list, int]:
         """Return the surrounding common bucket for ``key`` and its depth.
@@ -199,7 +233,7 @@ class GeoTree:
         short, the root's records are returned at depth 0.
         """
         self._check_query(key, min_population)
-        records = self._records
+        records = self._records_by_prefix()
         for depth in range(len(key), 0, -1):
             cache = records.get(key[:depth], ())
             if len(cache) >= min_population:
@@ -230,6 +264,9 @@ class GeoTree:
         if isinstance(exclude, str):  # `in` would match substrings of it
             raise TypeError("exclude must be a set of ids, not a str")
         self._check_query(key, min_population)
+        if group is None and None not in self._rows:
+            self._rows[None] = self._from_log(self._log)
+            self._unsorted = True
         if self._unsorted:
             for by_prefix in self._rows.values():
                 for rows in by_prefix.values():
@@ -250,4 +287,4 @@ class GeoTree:
 
     def walk(self) -> Iterable[tuple[str, list]]:
         """Yield ``(prefix, records)`` over the whole tree, parents first."""
-        return iter(self._records.items())  # insert adds prefixes shortest first
+        return iter(self._records_by_prefix().items())  # maps add prefixes shortest first

@@ -22,7 +22,6 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Iterable, Sequence
 
 from .geocode import MAX_PRECISION, encode_geohash
@@ -192,6 +191,16 @@ def voting_stage(
     return [r for r in records if r.id not in removed]
 
 
+def _median(values: list[float]) -> float:
+    """``statistics.median(values)``, bit for bit, without importing ``statistics``
+    (which brings ``decimal`` and ``fractions``) into every run."""
+    values = sorted(values)
+    mid = len(values) // 2
+    if len(values) % 2:
+        return values[mid]
+    return (values[mid - 1] + values[mid]) / 2
+
+
 def month_range(records: Iterable[ListingRecord]) -> list[str]:
     """Every calendar month from the earliest to the latest record, inclusive."""
     seen = {r.month_key for r in records}
@@ -242,7 +251,7 @@ def build_ratio_matrix(
                     ratios.append(record.price / neighbour.price)
         for prior, ratios in ratio_lists.items():
             if ratios:
-                entries[(base, prior)] = median(ratios)
+                entries[(base, prior)] = _median(ratios)
                 support[(base, prior)] = len(ratios)
     return RatioMatrix(tuple(months), entries, support)
 

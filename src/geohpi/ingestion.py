@@ -273,9 +273,11 @@ def filter_listings(
     bedrooms, counts as lacking bedroom data), (2) more than six bedrooms,
     (3) missing price, (4) price outside [10,000, 1,000,000] euros (bounds
     inclusive).  Each record is counted under the first rule it violates.
+    Records listed on one date share one ``month_key`` string.
     """
     kept: list[ListingRecord] = []
     report = FiltrationReport()
+    month_keys: dict[datetime.date, str] = {}  # one key string per date
     for r in raw:
         report.total += 1
         if r.lat is None or r.lng is None or r.bedrooms is None or r.bedrooms < 1:
@@ -291,11 +293,14 @@ def filter_listings(
             report.price_out_of_bounds += 1
             continue
         report.surviving += 1
+        month_key = month_keys.get(r.list_date)
+        if month_key is None:
+            month_key = month_keys[r.list_date] = month_key_of(r.list_date)
         kept.append(
             ListingRecord(
                 id=r.id,
                 list_date=r.list_date,
-                month_key=month_key_of(r.list_date),
+                month_key=month_key,
                 price=float(r.price),
                 point=GeoPoint(r.lat, r.lng),
                 bedrooms=r.bedrooms,

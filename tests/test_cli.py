@@ -855,3 +855,32 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--months", "1_2"),
+    ("--records-per-month", "2_0"),
+    ("--drift", "0.0_1"),
+    ("--premiums", "1,1,1,1,1,1_0"),
+    ("--mix", "0,0,1_0,0,0,0"),
+])
+def test_synth_number_with_underscore_is_usage_error(tmp_path, capsys, flag, value):
+    # int and float read "_" as a digit separator; listings reject it, and so do flags
+    out = tmp_path / "o"
+    assert run("synth", "--output-dir", str(out), flag, value) == 1
+    err = capsys.readouterr().err
+    assert flag in err and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["votes_per_record = 1_0", "removal_fraction = 0.1_5"])
+def test_config_number_with_underscore_is_usage_error(tmp_path, capsys, line):
+    data = synth(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# underscores\n" + line + "\n")
+    out = tmp_path / "o"
+    assert run("index", "--input", str(data / "listings.csv"),
+               "--output-dir", str(out), "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert "run.cfg:2" in err and repr(line.split("= ")[1]) in err
+    assert not out.exists()

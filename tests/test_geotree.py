@@ -508,3 +508,81 @@ def test_tie_beyond_the_stop_point_is_found():
         assert found.id == nearest_scan(records, keys, "0", query,
                                         exclude=frozenset(excluded)).id
         excluded.add(found.id)
+
+
+def _ids(records):
+    return [r.id for r in records]
+
+
+@pytest.mark.parametrize("group_key", [
+    None,
+    lambda r: r.month_key,
+    lambda r: r.month_key if r.bedrooms > 2 else None,  # some rows unlabelled
+], ids=["ungrouped", "by_month", "partly_unlabelled"])
+@pytest.mark.parametrize("seed", range(6))
+def test_interleaved_inserts_and_queries_match_the_oracle(seed, group_key, monkeypatch):
+    """Queries between inserts answer as the oracle over the records inserted
+    so far and as a tree built from them in one go, and each map built on
+    first use is built once and then kept current by later inserts."""
+    rng = random.Random(seed)
+    records = clustered_records(rng, 120, bedrooms=(1, 2, 3, 4))
+    key_length = 4
+    keys = random_keys(rng, records, key_length)
+    tree = GeoTree(key_length, group_key=group_key)
+    builds = Counter()
+    from_log = GeoTree._from_log
+
+    def counted_from_log(self, items):
+        builds[id(self)] += 1
+        return from_log(self, items)
+
+    monkeypatch.setattr(GeoTree, "_from_log", counted_from_log)
+    assert list(tree.walk()) == [("", [])] and len(tree) == 0
+    labels = [None] if group_key is None else [None, "2015-01", "2015-02", "2015-03"]
+    built: dict[str, object] = {}
+    inserted = []
+    for record in records:
+        tree.insert(keys[record.id], record)
+        inserted.append(record)
+        for _ in range(rng.choice((0, 0, 1, 3))):
+            whole = build_tree(inserted, keys, key_length, group_key=group_key)
+            query = rng.choice(inserted)
+            query_key = rng.choice((keys[query.id], "".join(rng.choice("0123")
+                                                             for _ in range(key_length))))
+            min_population = rng.randint(1, 4)
+            kind = rng.choice(("scb", "walk", "len", "nearest", "nearest"))
+            if kind == "scb":
+                bucket, depth = tree.scb_query(query_key, min_population)
+                expected, expected_depth = scb_scan(inserted, keys, query_key, min_population)
+                assert (_ids(bucket), depth) == (_ids(expected), expected_depth)
+                assert (bucket, depth) == whole.scb_query(query_key, min_population)
+            elif kind == "walk":
+                walked = [(prefix, _ids(items)) for prefix, items in tree.walk()]
+                assert walked == [(prefix, _ids(items)) for prefix, items in whole.walk()]
+            elif kind == "len":
+                assert len(tree) == len(whole) == len(inserted)
+            else:
+                group = rng.choice(labels)
+                exclude = frozenset(r.id for r in rng.sample(inserted, min(len(inserted),
+                                                                         rng.randint(0, 3))))
+                found = tree.nearest_in_group(query_key, query.point, group,
+                                              exclude=exclude, min_population=min_population)
+                members = inserted if group is None else [
+                    r for r in inserted if group_key(r) == group]
+                expected = nearest_scan(members, keys, query_key, query.point,
+                                        exclude=exclude, min_population=min_population)
+                assert found is expected
+                assert found is whole.nearest_in_group(
+                    query_key, query.point, group, exclude=exclude,
+                    min_population=min_population)
+            lazy = {"records": tree._records}
+            if group_key is not None:
+                lazy["all rows"] = tree._rows.get(None)
+            for name, current in lazy.items():
+                if current is not None:
+                    assert built.setdefault(name, current) is current, name
+                else:
+                    assert name not in built, name
+    assert builds[id(tree)] == len(built) <= (1 if group_key is None else 2)
+    assert_rows_follow_cache(tree)
+    assert_caches_are_unions(tree)

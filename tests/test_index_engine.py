@@ -1,10 +1,11 @@
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geohpi import geotree
+from geohpi import geotree, index_engine
 from geohpi.geotree import GeoTree
 from geohpi.index_engine import (
     CHAIN_MODES,
@@ -13,6 +14,7 @@ from geohpi.index_engine import (
     IndexSeries,
     RatioMatrix,
     VotingUndefinedError,
+    _median,
     build_ratio_matrix,
     build_tree,
     chain_index,
@@ -624,3 +626,47 @@ def test_chain_matches_oracle_bit_for_bit(drawn, mode, needed):
     values, flagged = chain_scan(months, entries, config)
     assert [v.hex() for v in series.values] == [v.hex() for v in values]
     assert list(series.flagged) == flagged
+
+
+@pytest.mark.parametrize("values", [
+    [2.5],
+    [3.0, 1.0, 2.0],
+    [4.0, 1.0, 3.0, 2.0],
+    [1.1, 1.1, 1.1, 0.9],
+    [0.1, 0.2],  # their mean rounds: 0.15000000000000002
+    [-3.5, -1.25, -2.0, -0.75],
+    [-0.0, 0.0],
+    [0.0, -0.0, 0.0],
+    [1e308, 1e308],  # the central pair's sum overflows, as in statistics
+])
+def test_median_equals_statistics_median_bit_for_bit(values):
+    assert _median(list(values)).hex() == statistics.median(values).hex()  # -0.0 too
+
+
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1)
+       | st.lists(st.sampled_from([-2.0, -0.5, 0.5, 1.0, 1.5]), min_size=1))
+@settings(max_examples=300)
+def test_median_matches_statistics_on_drawn_values(values):
+    assert _median(list(values)).hex() == statistics.median(values).hex()
+
+
+def test_compute_index_builds_only_the_maps_its_queries_read(monkeypatch):
+    # the voting tree reads only its all-rows map and the month tree only
+    # its per-month maps; neither builds records per prefix
+    trees = []
+
+    def recorded_build_tree(*args, **kwargs):
+        trees.append(build_tree(*args, **kwargs))
+        return trees[-1]
+
+    records, _ = generate(mix_shift_config(seed=5, months=4, records_per_month=40))
+    monkeypatch.setattr(index_engine, "build_tree", recorded_build_tree)
+    for config in (IndexConfig(), IndexConfig(factor_bedrooms=True)):
+        trees.clear()
+        compute_index(records, config)
+        voting_tree, month_tree = trees
+        assert voting_tree.group_key is None and month_tree.group_key is not None
+        assert voting_tree._records is None and month_tree._records is None
+        assert list(voting_tree._rows) == [None]
+        assert None not in month_tree._rows
+        assert set(month_tree._rows) == {r.month_key for r in records}

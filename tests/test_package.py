@@ -51,3 +51,49 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+_LEAN_INDEX = """\
+import sys
+import geohpi.cli as cli
+if sys.argv[1] == "broken":
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine exploded")
+    cli.compute_index = broken
+code = cli.main(sys.argv[2:])
+print(code, [m for m in {modules!r} if m in sys.modules])
+sys.exit(code)
+"""
+
+
+def _index_in_fresh_interpreter(tmp_path, mode: str, modules: list[str]):
+    from geohpi.cli import main
+
+    data = tmp_path / "data"
+    assert main(["synth", "--output-dir", str(data), "--months", "4",
+                 "--records-per-month", "20", "--seed", "3"]) == 0
+    src = Path(geohpi.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", _LEAN_INDEX.format(modules=modules), mode,
+         "index", "--input", str(data / "listings.csv"),
+         "--output-dir", str(tmp_path / mode)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+def test_index_run_leaves_median_and_traceback_modules_unloaded(tmp_path):
+    """A whole ``geohpi index`` run loads none of these: ``statistics`` brings
+    ``decimal`` and ``fractions``, and ``traceback`` is needed only at exit 3."""
+    lean = ["statistics", "decimal", "fractions", "traceback"]
+    done = _index_in_fresh_interpreter(tmp_path, "clean", lean)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_internal_error_in_fresh_interpreter_prints_traceback(tmp_path):
+    done = _index_in_fresh_interpreter(tmp_path, "broken", [])
+    assert done.returncode == 3
+    assert "internal error: engine exploded" in done.stderr
+    assert "Traceback (most recent call last)" in done.stderr
+    assert "RuntimeError: engine exploded" in done.stderr
