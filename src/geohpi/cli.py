@@ -8,8 +8,9 @@ last: a run that fails before writing leaves nothing, and a directory
 without its manifest holds no complete run.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal.  A path named on
-the command line that cannot be read, decoded, created or written, or an
-output that cannot be encoded as UTF-8, is a data error naming the file.
+the command line that cannot be read, decoded, split into CSV rows, created
+or written, or an output that cannot be encoded as UTF-8, is a data error
+naming the file.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class _HashingReader(io.RawIOBase):
 def _user_file(path):
     """Open a path the user named as UTF-8 text, skipping a leading byte-order mark:
     yield the stream and the SHA-256 of the bytes read from it so far, the mark
-    included; a decode or OS error inside becomes a DataError naming the path."""
+    included; a decode, OS or ``csv`` error inside becomes a DataError naming the path."""
     path = Path(path)
     try:
         with open(path, "rb", buffering=0) as raw:
@@ -97,6 +98,8 @@ def _user_file(path):
     except OSError as exc:
         raise DataError(f"{exc.filename or path}: cannot read: "
                         f"{exc.strerror or exc}") from exc
+    except csv.Error as exc:  # parse_listings and _read_series_csv add the line
+        raise DataError(f"{path}: {exc}") from exc
 
 
 class _Output(io.RawIOBase):
@@ -351,18 +354,23 @@ def _read_series_csv(path: str) -> tuple[dict[str, float], object]:
         except SchemaError as exc:
             raise DataError(f"{path}: {exc}") from exc
         series: dict[str, float] = {}
-        for row in reader:
-            if not row:
-                continue  # a blank line
-            row += [""] * (len(header) - len(row))
-            month, text = row[month_at], row[value_at]
-            if not _is_month(month):
-                raise DataError(f"{path}:{reader.line_num}: month {month!r} is not YYYY-MM")
-            if not is_finite_float(text):
-                raise DataError(f"{path}:{reader.line_num}: non-numeric value {text!r}")
-            if month in series:
-                raise DataError(f"{path}:{reader.line_num}: repeated month {month!r}")
-            series[month] = float(text)
+        last = reader.line_num  # the last line of the previous row
+        try:
+            for row in reader:
+                last = reader.line_num
+                if not row:
+                    continue  # a blank line
+                row += [""] * (len(header) - len(row))
+                month, text = row[month_at], row[value_at]
+                if not _is_month(month):
+                    raise DataError(f"{path}:{last}: month {month!r} is not YYYY-MM")
+                if not is_finite_float(text):
+                    raise DataError(f"{path}:{last}: non-numeric value {text!r}")
+                if month in series:
+                    raise DataError(f"{path}:{last}: repeated month {month!r}")
+                series[month] = float(text)
+        except csv.Error as exc:
+            raise csv.Error(f"line {last + 1}: {exc}") from exc
     if not series:
         raise DataError(f"{path}: series is empty")
     return series, digest

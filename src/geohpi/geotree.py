@@ -10,17 +10,15 @@ prepended parameter characters).
 
 A packed row is ``(z, x, y, id, record)``, ``(x, y, z)`` the point's unit
 vector with ``z = sin(lat)`` first.  A nearest-neighbour query scores one
-row list by squared chord, with no trig calls.  Each list is kept sorted by
-``z``: an insert marks the tree unsorted, and the next ``nearest_in_group``
-sorts every list once.  The query bisects to its own ``z`` and scans
+row list by squared chord, with no trig calls.  Each row list is sorted by
+``z`` when its map is built.  The query bisects to its own ``z`` and scans
 outward both ways, stopping once ``(z - qz)**2`` alone exceeds a margin
 around the least chord seen so far; rows within it are compared again by
 ``(haversine_distance, id)``, see ``_nearest_row``.
 
-A tree keeps up front only the maps its own queries read, plus a log of
-every key and row in insert order.  Every other map is built from the log
-on first use and kept current by later inserts, never rebuilt; see
-``GeoTree``.
+A tree keeps only a log of every key and row in insert order.  Each query
+builds the one map it reads from the log on its first call after an
+insert; see ``GeoTree``.
 
 The tree is write-once: build it, then query it.  Deletion and rebalancing
 are deliberately unsupported, and queries return the maps' live lists;
@@ -38,7 +36,6 @@ from .geocode import ALPHABET, GeoPoint, haversine_distance
 
 _ALPHABET_SET = frozenset(ALPHABET)
 _Z = itemgetter(0)
-_RECORD = itemgetter(4)
 # Rows whose chord is within this relative margin plus this absolute one (in
 # Earth radii, about 6 micrometres) of the least chord are compared again in
 # metres; see _nearest_row.
@@ -147,20 +144,19 @@ class GeoTree:
 
     ``group_key`` optionally labels each record (typically with its listing
     month), so each climb step reads its candidates in one dictionary
-    lookup.  Which maps are built when:
+    lookup.  An insert only logs its key and row; each query reads one map,
+    which it builds from the log on its first call after an insert:
 
-    - a tree without ``group_key`` keeps its rows under the label ``None``
-      from the first insert;
-    - a tree with one keeps each label's rows under that label; a record
-      labelled ``None`` is kept only in the log;
-    - a tree with one builds the rows of every label, under ``None``, on
-      the first ``nearest_in_group`` with ``group=None``;
-    - every tree builds ``prefix -> records`` on the first ``scb_query``
-      or ``walk()``.
+    - ``scb_query`` and ``walk()`` read ``prefix -> records``;
+    - ``nearest_in_group`` with ``group=None`` reads every row by prefix;
+    - with a label it reads each label's rows by prefix, built for every
+      label in one pass that calls ``group_key``; a record labelled
+      ``None`` is under no label.
 
-    Every map lists its prefixes in the order inserts first reached them.
-    No map holds an empty list, save the root's in an empty tree.  Records
-    must expose ``.id`` (orderable, unique) and ``.point`` (GeoPoint).
+    Every map lists its prefixes in the order inserts first reached them,
+    records in insert order and rows sorted by ``z``.  No map holds an
+    empty list, save the root's in an empty tree.  Records must expose
+    ``.id`` (orderable, unique) and ``.point`` (GeoPoint).
     """
 
     def __init__(self, key_length: int,
@@ -171,11 +167,7 @@ class GeoTree:
         self.group_key = group_key
         self._keys: list[str] = []  # every inserted key, in insert order
         self._log: list[tuple] = []  # the row of each of _keys
-        # label -> prefix -> rows; all rows under None, built up front when unlabelled
-        self._rows: dict[Hashable, dict[str, list]] = (
-            {None: {"": []}} if group_key is None else {})
-        self._records: dict[str, list] | None = None  # prefix -> records, once built
-        self._unsorted = False  # an insert since the row lists were last sorted
+        self._maps: dict[str, dict] = {}  # each map built since the last insert
 
     def __len__(self) -> int:
         return len(self._log)
@@ -186,31 +178,15 @@ class GeoTree:
                 f"key {key!r} has length {len(key)}, tree expects {self.key_length}"
             )
 
-    def _from_log(self, items: Iterable) -> dict[str, list]:
-        """``prefix -> items``, one item per logged key, in insert order."""
-        by_prefix: dict[str, list] = {"": []}
-        for key, item in zip(self._keys, items):
-            _add(by_prefix, key, item)
-        return by_prefix
-
     def insert(self, key: str, record: Any) -> None:
-        """Append ``record``, and its row, at every prefix of ``key`` in each map built."""
+        """Log ``record``, and its row, under ``key``; every map is built anew on its next read."""
         self._check_length(key)
-        for c in key:  # validate before touching any map
+        for c in key:  # validate before touching the log
             if c not in _ALPHABET_SET:
                 raise ValueError(f"key character {c!r} outside the geohash alphabet")
-        label = self.group_key(record) if self.group_key is not None else None
-        row = (*_unit_vector(record.point), record.id, record)
         self._keys.append(key)
-        self._log.append(row)
-        self._unsorted = True
-        rows = self._rows
-        if label is not None:
-            _add(rows.setdefault(label, {}), key, row)
-        if None in rows:
-            _add(rows[None], key, row)
-        if self._records is not None:
-            _add(self._records, key, record)
+        self._log.append((*_unit_vector(record.point), record.id, record))
+        self._maps.clear()
 
     def _check_query(self, key: str, min_population: int) -> None:
         if min_population < 1:
@@ -219,10 +195,32 @@ class GeoTree:
             raise EmptyTreeError("query on an empty tree")
         self._check_length(key)
 
-    def _records_by_prefix(self) -> dict[str, list]:
-        if self._records is None:
-            self._records = self._from_log(map(_RECORD, self._log))
-        return self._records
+    def _records(self) -> dict[str, list]:
+        """``prefix -> records``, built on the first read since the last insert."""
+        records = self._maps.get("records")
+        if records is None:
+            records = self._maps["records"] = {"": []}
+            for key, row in zip(self._keys, self._log):
+                _add(records, key, row[4])
+        return records
+
+    def _rows(self, labelled: bool) -> dict[Hashable, dict[str, list]]:
+        """``label -> prefix -> rows``: each row under its record's label when
+        ``labelled``, else every row under ``None``; built on the first read
+        since the last insert."""
+        kind = "labels" if labelled else "rows"
+        by_label = self._maps.get(kind)
+        if by_label is None:
+            by_label = self._maps[kind] = {}
+            for key, row in zip(self._keys, self._log):
+                label = self.group_key(row[4]) if labelled else None
+                if labelled and label is None:
+                    continue  # under no label
+                _add(by_label.setdefault(label, {}), key, row)
+            for by_prefix in by_label.values():
+                for rows in by_prefix.values():
+                    rows.sort(key=_Z)
+        return by_label
 
     def scb_query(self, key: str, min_population: int = 1) -> tuple[list, int]:
         """Return the surrounding common bucket for ``key`` and its depth.
@@ -233,7 +231,7 @@ class GeoTree:
         short, the root's records are returned at depth 0.
         """
         self._check_query(key, min_population)
-        records = self._records_by_prefix()
+        records = self._records()
         for depth in range(len(key), 0, -1):
             cache = records.get(key[:depth], ())
             if len(cache) >= min_population:
@@ -264,15 +262,7 @@ class GeoTree:
         if isinstance(exclude, str):  # `in` would match substrings of it
             raise TypeError("exclude must be a set of ids, not a str")
         self._check_query(key, min_population)
-        if group is None and None not in self._rows:
-            self._rows[None] = self._from_log(self._log)
-            self._unsorted = True
-        if self._unsorted:
-            for by_prefix in self._rows.values():
-                for rows in by_prefix.values():
-                    rows.sort(key=_Z)
-            self._unsorted = False
-        by_prefix = self._rows.get(group, {})
+        by_prefix = self._rows(group is not None).get(group, {})
         for depth in range(len(key), 0, -1):
             rows = by_prefix.get(key[:depth], ())
             # excluded ids may lie outside this list, so count exactly only
@@ -287,4 +277,4 @@ class GeoTree:
 
     def walk(self) -> Iterable[tuple[str, list]]:
         """Yield ``(prefix, records)`` over the whole tree, parents first."""
-        return iter(self._records_by_prefix().items())  # maps add prefixes shortest first
+        return iter(self._records().items())  # maps add prefixes shortest first

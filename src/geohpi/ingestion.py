@@ -101,7 +101,9 @@ class ListingRecord:
 
 @dataclass(frozen=True, slots=True)
 class ParseError:
-    row: int  # 1-based file line (header is 1); a multi-line row's last line
+    # 1-based file line (header is 1); a multi-line row's last line, or its
+    # first when an id or type cell runs past a line break into a comma
+    row: int
     message: str
 
 
@@ -186,7 +188,10 @@ def parse_listings(
     Mapped columns may come in any order, each exactly once (else SchemaError).
     Blank lines are skipped, a short row reads blank cells and a long row's
     extra cells are ignored.  Malformed rows become parse errors with their
-    file line, never silently dropped.
+    file line, never silently dropped; so does a row whose id or type cell
+    runs past a line break into text with a comma, as when a quote is left
+    open and swallows the rows after it.  A ``csv.Error``, such as a cell
+    over the ``csv`` field limit, is raised again naming the row's first line.
 
     A value that repeats across rows is kept once: rows with the same date
     text share one ``date``, and equal dwelling types and equal error
@@ -212,48 +217,59 @@ def parse_listings(
     seen_ids: set[str] = set()
     dates: dict[str, datetime.date] = {}  # each valid date text seen
     shared: dict[str, str] = {}  # dwelling types and error messages
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue  # a blank line
-            row = (row + [""] * width)[:width]
-        row.append("")
-        rid, date_text, price_text, lat_text, lng_text, bed_text, dwelling = map(
-            str.strip, cells(row))
-        problems: list[str] = []
-        if not rid:
-            problems.append("missing id")
-        elif rid in seen_ids:
-            problems.append(f"duplicate id {rid!r}")
-        list_date = dates.get(date_text)
-        if list_date is None and not date_text:
-            problems.append("missing date")
-        elif list_date is None:
-            try:
-                # fromisoformat also takes 20150302 and 2015-W10-1 from Python 3.11 on
-                if len(date_text) != 10 or date_text[4] != "-" or date_text[7] != "-":
-                    raise ValueError
-                list_date = dates[date_text] = datetime.date.fromisoformat(date_text)
-            except ValueError:
-                problems.append(f"bad date {date_text!r}")
-        price = _opt_number(price_text, int, "price", problems)
-        lat = _opt_number(lat_text, float, "latitude", problems)
-        lng = _opt_number(lng_text, float, "longitude", problems)
-        if lat is not None and not -90.0 <= lat <= 90.0:
-            problems.append(f"latitude {lat!r} out of range")
-        if lng is not None and not -180.0 <= lng <= 180.0:
-            problems.append(f"longitude {lng!r} out of range")
-        bedrooms = _opt_number(bed_text, int, "bedrooms", problems)
-        if bedrooms is not None and bedrooms < 0:
-            problems.append(f"negative bedroom count {bedrooms!r}")
-        if problems:
-            errors.append(ParseError(reader.line_num,
-                                     _share(shared, "; ".join(problems))))
-            continue
-        assert list_date is not None
-        seen_ids.add(rid)
-        records.append(RawListing(rid, list_date, price, lat, lng, bedrooms,
-                                  _share(shared, dwelling) if dwelling else None))
+    last = reader.line_num  # the last line of the previous row
+    try:
+        for row in reader:
+            first, last = last + 1, reader.line_num
+            if len(row) != width:
+                if not row:
+                    continue  # a blank line
+                row = (row + [""] * width)[:width]
+            row.append("")
+            rid, date_text, price_text, lat_text, lng_text, bed_text, dwelling = map(
+                str.strip, cells(row))
+            problems: list[str] = []
+            line = last
+            if first != last:  # a quoted cell runs across lines
+                for name, cell in (("id", rid), ("type", dwelling)):
+                    if "," in cell.replace("\r", "\n").partition("\n")[2]:
+                        problems.append(f"{name} cell spans lines {first}-{last}: "
+                                        "an unbalanced quote is likely")
+                        line = first
+            if not rid:
+                problems.append("missing id")
+            elif rid in seen_ids:
+                problems.append(f"duplicate id {rid!r}")
+            list_date = dates.get(date_text)
+            if list_date is None and not date_text:
+                problems.append("missing date")
+            elif list_date is None:
+                try:
+                    # fromisoformat also takes 20150302 and 2015-W10-1 from Python 3.11 on
+                    if len(date_text) != 10 or date_text[4] != "-" or date_text[7] != "-":
+                        raise ValueError
+                    list_date = dates[date_text] = datetime.date.fromisoformat(date_text)
+                except ValueError:
+                    problems.append(f"bad date {date_text!r}")
+            price = _opt_number(price_text, int, "price", problems)
+            lat = _opt_number(lat_text, float, "latitude", problems)
+            lng = _opt_number(lng_text, float, "longitude", problems)
+            if lat is not None and not -90.0 <= lat <= 90.0:
+                problems.append(f"latitude {lat!r} out of range")
+            if lng is not None and not -180.0 <= lng <= 180.0:
+                problems.append(f"longitude {lng!r} out of range")
+            bedrooms = _opt_number(bed_text, int, "bedrooms", problems)
+            if bedrooms is not None and bedrooms < 0:
+                problems.append(f"negative bedroom count {bedrooms!r}")
+            if problems:
+                errors.append(ParseError(line, _share(shared, "; ".join(problems))))
+                continue
+            assert list_date is not None
+            seen_ids.add(rid)
+            records.append(RawListing(rid, list_date, price, lat, lng, bedrooms,
+                                      _share(shared, dwelling) if dwelling else None))
+    except csv.Error as exc:  # the field limit, say, after an unbalanced quote
+        raise csv.Error(f"line {last + 1}: {exc}") from exc
     return records, errors
 
 

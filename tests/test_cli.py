@@ -477,6 +477,56 @@ class TestUnreadableInput:
         assert not out.exists()
 
 
+def open_quote_feed(rows):
+    """A listings feed of ``rows`` rows whose first row leaves its type cell's quote open."""
+    return "id,date,price,lat,lng,bedrooms,type\n" + "".join(
+        f"r{i},2015-{1 + i % 12:02d}-05,{200_000 + i},53.{i % 100:02d},-6.2{i % 10},3,"
+        + ('"house\n' if i == 0 else "house\n") for i in range(rows))
+
+
+class TestUnbalancedQuote:
+    """A quote left open is reported with its file and line, never read silently."""
+
+    def test_swallowed_rows_are_a_parse_error_at_the_first_line(self, tmp_path, capsys):
+        src = tmp_path / "feed.csv"
+        src.write_text(open_quote_feed(200))
+        out = tmp_path / "o"
+        assert run("ingest", "--input", str(src), "--output-dir", str(out)) == 0
+        captured = capsys.readouterr()
+        assert "kept 0/0 records" in captured.out
+        assert "warning: 1 malformed row(s) skipped" in captured.err
+        assert json.loads((out / "parse_errors.json").read_text()) == [
+            {"row": 2, "message": "type cell spans lines 2-201: an unbalanced quote is likely"}]
+        assert run("index", "--input", str(src), "--output-dir", str(tmp_path / "i")) == 2
+        err = capsys.readouterr().err
+        assert "warning: 1 malformed row(s) skipped" in err
+        assert "error: voting needs at least two records" in err
+
+    @pytest.mark.parametrize("command", ["ingest", "index"])
+    def test_cell_past_the_field_limit_is_data_error(self, tmp_path, capsys, command):
+        src = tmp_path / "feed.csv"
+        src.write_text(open_quote_feed(4000))
+        out = tmp_path / "o"
+        assert run(command, "--input", str(src), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {src}: line 2: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_series_cell_past_the_field_limit_is_data_error(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        write_series(good, [(f"2015-{m:02d}", 100 + m) for m in range(1, 7)])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("month,value\n\n2015-01,100\n2015-02,\"101\n"
+                       + "2015-03,102\n" * 12_000)
+        out = tmp_path / "o"
+        assert run("compare", str(good), str(bad), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 4: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def write_series(path, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -45,36 +45,45 @@ def assert_caches_are_unions(tree):
 
 
 def assert_rows_follow_cache(tree):
-    """Every prefix keeps one packed row per record under ``None``: the
-    record's unit vector ``(z, x, y)`` with ``z = sin(lat)``, its id and the
-    record.  A label holds rows at exactly the prefixes whose ``None`` rows
-    carry it, the same multiset as those rows; an ungrouped tree keeps no
-    other label, no map holds an empty list, and after one query every list
-    is sorted by ``z``."""
-    tree.nearest_in_group("0" * tree.key_length, GeoPoint(0.0, 0.0))
-    rows_of = tree._rows
-    assert list(rows_of[None]) == [prefix for prefix, _ in tree.walk()]
-    if tree.group_key is None:
-        assert list(rows_of) == [None]
-    for prefix, records in tree.walk():
-        everything = rows_of[None][prefix]
-        assert Counter(id(row[4]) for row in everything) == Counter(map(id, records))
-        for z, x, y, rid, record in everything:
+    """After one query of each kind the cache holds one map per kind read.
+    Every prefix keeps one packed row per record in the all-rows map, under
+    ``None``: the record's unit vector ``(z, x, y)`` with ``z = sin(lat)``,
+    its id and the record.  A label holds rows at exactly the prefixes whose
+    rows carry it, the same multiset as those rows; no map holds an empty
+    list, and every row list is sorted by ``z``.  Reads with no insert
+    between them share one build of each map."""
+    key, point = "0" * tree.key_length, GeoPoint(0.0, 0.0)
+    tree.nearest_in_group(key, point)
+    if tree.group_key is not None:
+        tree.nearest_in_group(key, point, "no such label")
+    walked = list(tree.walk())
+    maps = tree._maps
+    assert set(maps) == {"records", "rows"} | ({"labels"} if tree.group_key else set())
+    assert list(maps["rows"]) == [None]
+    everything = maps["rows"][None]
+    by_label = maps.get("labels", {})
+    assert list(everything) == [prefix for prefix, _ in walked]
+    for prefix, records in walked:
+        assert Counter(id(row[4]) for row in everything[prefix]) == Counter(map(id, records))
+        for z, x, y, rid, record in everything[prefix]:
             phi = math.radians(record.point.lat)
             lam = math.radians(record.point.lng)
             assert (z, x, y, rid) == (
                 math.sin(phi), math.cos(phi) * math.cos(lam),
                 math.cos(phi) * math.sin(lam), record.id)
         labels = ({tree.group_key(r) for r in records} - {None}) if tree.group_key else set()
-        assert {label for label in rows_of if prefix in rows_of[label]} == {None, *labels}
-    for label, by_prefix in rows_of.items():
+        assert {label for label in by_label if prefix in by_label[label]} == labels
+    for label, by_prefix in [(None, everything), *by_label.items()]:
         for prefix, rows in by_prefix.items():
             assert rows
             assert all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
             if label is not None:
-                everything = rows_of[None][prefix]
                 assert Counter(map(id, rows)) == Counter(
-                    id(row) for row in everything if tree.group_key(row[4]) == label)
+                    id(row) for row in everything[prefix] if tree.group_key(row[4]) == label)
+    tree.nearest_in_group(key, point)
+    tree.nearest_in_group(key, point, *([] if tree.group_key is None else ["2015-01"]))
+    tree.scb_query(key)
+    assert tree._maps == maps and all(tree._maps[kind] is built for kind, built in maps.items())
 
 
 def random_keys(rng, records, key_length, alphabet="0123"):
@@ -117,9 +126,20 @@ class TestInsert:
         tree = GeoTree(3)
         with pytest.raises(ValueError):
             tree.insert("0a0", make_record("a", 53.0, -7.0, 100_000))
-        assert len(tree) == 0
+        assert len(tree) == 0 and tree._keys == [] and tree._maps == {}
         assert list(tree.walk()) == [("", [])]
-        assert tree._rows == {None: {"": []}}
+        first = make_record("b", 53.0, -7.0, 100_000)
+        tree.insert("012", first)
+        assert tree._maps == {}  # an insert leaves no map built
+        walked = list(tree.walk())
+        built = dict(tree._maps)
+        for bad_key in ("0a0", "01"):
+            with pytest.raises(ValueError):
+                tree.insert(bad_key, make_record("c", 53.0, -7.0, 100_000))
+        assert len(tree) == 1 and tree._keys == ["012"]
+        assert tree._maps == built and tree._maps["records"] is built["records"]
+        assert list(tree.walk()) == walked == [("", [first]), ("0", [first]),
+                                               ("01", [first]), ("012", [first])]
 
     def test_cache_sizes_sum_over_children(self):
         rng = random.Random(7)
@@ -520,30 +540,24 @@ def _ids(records):
     lambda r: r.month_key if r.bedrooms > 2 else None,  # some rows unlabelled
 ], ids=["ungrouped", "by_month", "partly_unlabelled"])
 @pytest.mark.parametrize("seed", range(6))
-def test_interleaved_inserts_and_queries_match_the_oracle(seed, group_key, monkeypatch):
+def test_interleaved_inserts_and_queries_match_the_oracle(seed, group_key):
     """Queries between inserts answer as the oracle over the records inserted
-    so far and as a tree built from them in one go, and each map built on
-    first use is built once and then kept current by later inserts."""
+    so far and as a tree built from them in one go; an insert leaves no map
+    built, each read builds only the map it reads, and reads with no insert
+    between them share one build of it."""
     rng = random.Random(seed)
     records = clustered_records(rng, 120, bedrooms=(1, 2, 3, 4))
     key_length = 4
     keys = random_keys(rng, records, key_length)
     tree = GeoTree(key_length, group_key=group_key)
-    builds = Counter()
-    from_log = GeoTree._from_log
-
-    def counted_from_log(self, items):
-        builds[id(self)] += 1
-        return from_log(self, items)
-
-    monkeypatch.setattr(GeoTree, "_from_log", counted_from_log)
     assert list(tree.walk()) == [("", [])] and len(tree) == 0
     labels = [None] if group_key is None else [None, "2015-01", "2015-02", "2015-03"]
-    built: dict[str, object] = {}
     inserted = []
     for record in records:
         tree.insert(keys[record.id], record)
+        assert tree._maps == {}
         inserted.append(record)
+        built: dict[str, dict] = {}
         for _ in range(rng.choice((0, 0, 1, 3))):
             whole = build_tree(inserted, keys, key_length, group_key=group_key)
             query = rng.choice(inserted)
@@ -556,11 +570,14 @@ def test_interleaved_inserts_and_queries_match_the_oracle(seed, group_key, monke
                 expected, expected_depth = scb_scan(inserted, keys, query_key, min_population)
                 assert (_ids(bucket), depth) == (_ids(expected), expected_depth)
                 assert (bucket, depth) == whole.scb_query(query_key, min_population)
+                read = "records"
             elif kind == "walk":
                 walked = [(prefix, _ids(items)) for prefix, items in tree.walk()]
                 assert walked == [(prefix, _ids(items)) for prefix, items in whole.walk()]
+                read = "records"
             elif kind == "len":
                 assert len(tree) == len(whole) == len(inserted)
+                read = None
             else:
                 group = rng.choice(labels)
                 exclude = frozenset(r.id for r in rng.sample(inserted, min(len(inserted),
@@ -575,14 +592,10 @@ def test_interleaved_inserts_and_queries_match_the_oracle(seed, group_key, monke
                 assert found is whole.nearest_in_group(
                     query_key, query.point, group, exclude=exclude,
                     min_population=min_population)
-            lazy = {"records": tree._records}
-            if group_key is not None:
-                lazy["all rows"] = tree._rows.get(None)
-            for name, current in lazy.items():
-                if current is not None:
-                    assert built.setdefault(name, current) is current, name
-                else:
-                    assert name not in built, name
-    assert builds[id(tree)] == len(built) <= (1 if group_key is None else 2)
+                read = "rows" if group is None else "labels"
+            if read is not None:
+                built.setdefault(read, tree._maps[read])
+            assert tree._maps.keys() == built.keys()
+            assert all(tree._maps[name] is current for name, current in built.items())
     assert_rows_follow_cache(tree)
     assert_caches_are_unions(tree)

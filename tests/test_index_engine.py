@@ -651,7 +651,7 @@ def test_median_matches_statistics_on_drawn_values(values):
 
 
 def test_compute_index_builds_only_the_maps_its_queries_read(monkeypatch):
-    # the voting tree reads only its all-rows map and the month tree only
+    # the voting tree builds only its all-rows map and the month tree only
     # its per-month maps; neither builds records per prefix
     trees = []
 
@@ -666,7 +666,7 @@ def test_compute_index_builds_only_the_maps_its_queries_read(monkeypatch):
         compute_index(records, config)
         voting_tree, month_tree = trees
         assert voting_tree.group_key is None and month_tree.group_key is not None
-        assert voting_tree._records is None and month_tree._records is None
-        assert list(voting_tree._rows) == [None]
-        assert None not in month_tree._rows
-        assert set(month_tree._rows) == {r.month_key for r in records}
+        assert set(voting_tree._maps) == {"rows"}
+        assert list(voting_tree._maps["rows"]) == [None]
+        assert set(month_tree._maps) == {"labels"}
+        assert set(month_tree._maps["labels"]) == {r.month_key for r in records}

@@ -1,3 +1,4 @@
+import csv
 import datetime
 import io
 import json
@@ -153,6 +154,28 @@ class TestParse:
         assert [r.id for r in records] == ["g1", "g2"]
         assert records[1].dwelling_type == "semi-\ndetached"
         assert [e.row for e in errors] == [4, 7, 9]
+
+    def test_open_quote_in_id_or_type_is_one_parse_error_at_its_first_line(self):
+        text = (
+            HEADER
+            + "g1,2015-01-15,200000,53.0,-7.0,3,house\n"              # line 2
+            + '"b1,2015-01-15,200000,53.0,-7.0,3,house\n'            # line 3, id left open
+            + 'g2,2015-01-15,200000,53.0,-7.0,3,"flat"\n'            # line 4, closes it
+            + "g3,2015-01-15,200000,53.0,-7.0,3,house\n"              # line 5
+            + 'b2,2015-01-15,200000,53.0,-7.0,3,"semi\r\n'           # line 6, type left open
+            + "g4,2015-01-15,200000,53.0,-7.0,3,house\n"              # line 7
+            + "\n"                                                     # line 8, in b2's type
+        )
+        records, errors = parse(text)
+        assert [r.id for r in records] == ["g1", "g3"]
+        assert [(e.row, e.message) for e in errors] == [
+            (3, "id cell spans lines 3-4: an unbalanced quote is likely; missing date"),
+            (6, "type cell spans lines 6-8: an unbalanced quote is likely")]
+
+    def test_csv_error_names_the_first_line_of_its_row(self):
+        text = HEADER + "g1,2015-01-15,200000,53.0,-7.0,3,house\n\n" + "x" * 200_000 + "\n"
+        with pytest.raises(csv.Error, match=r"^line 4: field larger than field limit"):
+            parse(text)
 
     def test_row_layouts(self):
         # columns in any order among unmapped ones; short, long and blank rows
