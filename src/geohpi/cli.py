@@ -8,9 +8,9 @@ last: a run that fails before writing leaves nothing, and a directory
 without its manifest holds no complete run.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal.  A path named on
-the command line that cannot be read, decoded, split into CSV rows, created
-or written, or an output that cannot be encoded as UTF-8, is a data error
-naming the file.
+the command line that cannot be read, decoded, split into CSV rows under
+the header it needs, created or written, or an output that cannot be encoded
+as UTF-8, is a data error naming the file.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from .ingestion import (
     CsvSchema,
     SchemaError,
     add_months,
-    column_positions,
     filter_listings,
     is_finite_float,
     parse_listings,
+    read_rows,
     write_csv,
     write_listings_csv,
 )
@@ -84,7 +84,8 @@ class _HashingReader(io.RawIOBase):
 def _user_file(path):
     """Open a path the user named as UTF-8 text, skipping a leading byte-order mark:
     yield the stream and the SHA-256 of the bytes read from it so far, the mark
-    included; a decode, OS or ``csv`` error inside becomes a DataError naming the path."""
+    included; a decode, OS, ``csv`` or header error inside becomes a DataError naming
+    the path."""
     path = Path(path)
     try:
         with open(path, "rb", buffering=0) as raw:
@@ -98,7 +99,7 @@ def _user_file(path):
     except OSError as exc:
         raise DataError(f"{exc.filename or path}: cannot read: "
                         f"{exc.strerror or exc}") from exc
-    except csv.Error as exc:  # parse_listings and _read_series_csv add the line
+    except (csv.Error, SchemaError) as exc:  # ingestion.read_rows adds a csv.Error's line
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -347,30 +348,15 @@ def _is_month(text: str) -> bool:
 def _read_series_csv(path: str) -> tuple[dict[str, float], object]:
     """A ``month,value`` series file: ({month: value}, SHA-256 of its bytes)."""
     with _user_file(path) as (handle, digest):
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        try:
-            month_at, value_at = column_positions(header, ["month", "value"])
-        except SchemaError as exc:
-            raise DataError(f"{path}: {exc}") from exc
         series: dict[str, float] = {}
-        last = reader.line_num  # the last line of the previous row
-        try:
-            for row in reader:
-                last = reader.line_num
-                if not row:
-                    continue  # a blank line
-                row += [""] * (len(header) - len(row))
-                month, text = row[month_at], row[value_at]
-                if not _is_month(month):
-                    raise DataError(f"{path}:{last}: month {month!r} is not YYYY-MM")
-                if not is_finite_float(text):
-                    raise DataError(f"{path}:{last}: non-numeric value {text!r}")
-                if month in series:
-                    raise DataError(f"{path}:{last}: repeated month {month!r}")
-                series[month] = float(text)
-        except csv.Error as exc:
-            raise csv.Error(f"line {last + 1}: {exc}") from exc
+        for _, line, (month, text) in read_rows(handle, ["month", "value"]):
+            if not _is_month(month):
+                raise DataError(f"{path}:{line}: month {month!r} is not YYYY-MM")
+            if not is_finite_float(text):
+                raise DataError(f"{path}:{line}: non-numeric value {text!r}")
+            if month in series:
+                raise DataError(f"{path}:{line}: repeated month {month!r}")
+            series[month] = float(text)
     if not series:
         raise DataError(f"{path}: series is empty")
     return series, digest
@@ -475,12 +461,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        DataError,
-        SchemaError,
-        VotingUndefinedError,
-        ChainUndefinedError,
-    ) as exc:
+    except (DataError, VotingUndefinedError, ChainUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geocode import GeoPoint
 
@@ -37,6 +37,7 @@ class CsvSchema:
     """Maps logical listing fields to CSV column names.
 
     ``dwelling_type`` may be None to indicate the file has no such column.
+    Two fields may not share a column (else ValueError).
     """
 
     id: str = "id"
@@ -46,6 +47,13 @@ class CsvSchema:
     lng: str = "lng"
     bedrooms: str = "bedrooms"
     dwelling_type: str | None = "type"
+
+    def __post_init__(self) -> None:
+        columns = asdict(self)
+        for column in set(columns.values()) - {None}:
+            sharing = [name for name, mapped in columns.items() if mapped == column]
+            if len(sharing) > 1:
+                raise ValueError(f"fields {' and '.join(sharing)} share column {column!r}")
 
     @classmethod
     def from_spec(cls, spec: str) -> "CsvSchema":
@@ -163,21 +171,48 @@ def is_finite_float(text: str) -> bool:
         return False
 
 
-def column_positions(header: list[str] | None, names: Sequence[str]) -> list[int]:
-    """The position of each of ``names`` in a CSV ``header`` row.
+def read_rows(source, names: Sequence[str | None]) -> Iterator[tuple[int, int, tuple]]:
+    """``(first_line, last_line, cells)`` for each data row of a CSV text stream.
+
+    ``cells`` holds the cells of the header columns ``names`` (two or more)
+    in order; a name of None reads a blank cell, as do the missing cells of
+    a short row.  A long row's extra cells are ignored and blank lines are
+    skipped.  Lines are 1-based, the header's is 1, and a row spans more
+    than one when a quoted cell holds a line break.
 
     Raises SchemaError when there is no header, or when a name is absent
-    from it or appears in it more than once.
+    from it or appears in it more than once.  A ``csv.Error``, such as a
+    cell over the ``csv`` field limit, is raised again naming the first
+    line of its row, the header's included.
     """
-    if header is None:
-        raise SchemaError("input has no header row")
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise SchemaError(f"missing mapped column(s): {', '.join(missing)}")
-    repeated = [name for name in names if header.count(name) > 1]
-    if repeated:
-        raise SchemaError(f"repeated mapped column(s): {', '.join(repeated)}")
-    return [header.index(name) for name in names]
+    reader = csv.reader(source)
+    last = 0  # the last line of the previous row
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("input has no header row")
+        mapped = [name for name in names if name is not None]
+        missing = [name for name in mapped if name not in header]
+        if missing:
+            raise SchemaError(f"missing mapped column(s): {', '.join(missing)}")
+        repeated = [name for name in mapped if header.count(name) > 1]
+        if repeated:
+            raise SchemaError(f"repeated mapped column(s): {', '.join(repeated)}")
+        width = len(header)
+        # a None name reads the blank cell appended to every row
+        cells = itemgetter(*(width if name is None else header.index(name)
+                             for name in names))
+        last = reader.line_num
+        for row in reader:
+            first, last = last + 1, reader.line_num
+            if len(row) != width:
+                if not row:
+                    continue  # a blank line
+                row = (row + [""] * width)[:width]
+            row.append("")
+            yield first, last, cells(row)
+    except csv.Error as exc:  # the field limit, say, after an unbalanced quote
+        raise csv.Error(f"line {last + 1}: {exc}") from exc
 
 
 def parse_listings(
@@ -185,13 +220,11 @@ def parse_listings(
 ) -> tuple[list[RawListing], list[ParseError]]:
     """Parse a CSV path or text stream into raw listings.
 
-    Mapped columns may come in any order, each exactly once (else SchemaError).
-    Blank lines are skipped, a short row reads blank cells and a long row's
-    extra cells are ignored.  Malformed rows become parse errors with their
-    file line, never silently dropped; so does a row whose id or type cell
-    runs past a line break into text with a comma, as when a quote is left
-    open and swallows the rows after it.  A ``csv.Error``, such as a cell
-    over the ``csv`` field limit, is raised again naming the row's first line.
+    ``read_rows`` reads the schema's columns, with its header, row and line
+    rules (a header fault is a SchemaError).  Malformed rows become parse
+    errors with their file line, never silently dropped; so does a row whose
+    id or type cell runs past a line break into text with a comma, as when a
+    quote is left open and swallows the rows after it.
 
     A value that repeats across rows is kept once: rows with the same date
     text share one ``date``, and equal dwelling types and equal error
@@ -202,74 +235,54 @@ def parse_listings(
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return parse_listings(handle, schema)
 
-    reader = csv.reader(source)
-    header = next(reader, None)
-    columns = [schema.id, schema.date, schema.price, schema.lat, schema.lng,
-               schema.bedrooms, schema.dwelling_type]
-    positions = column_positions(header, [c for c in columns if c is not None])
-    width = len(header)
-    if schema.dwelling_type is None:
-        positions.append(width)  # the blank cell appended to every row
-    cells = itemgetter(*positions)
-
     records: list[RawListing] = []
     errors: list[ParseError] = []
     seen_ids: set[str] = set()
     dates: dict[str, datetime.date] = {}  # each valid date text seen
     shared: dict[str, str] = {}  # dwelling types and error messages
-    last = reader.line_num  # the last line of the previous row
-    try:
-        for row in reader:
-            first, last = last + 1, reader.line_num
-            if len(row) != width:
-                if not row:
-                    continue  # a blank line
-                row = (row + [""] * width)[:width]
-            row.append("")
-            rid, date_text, price_text, lat_text, lng_text, bed_text, dwelling = map(
-                str.strip, cells(row))
-            problems: list[str] = []
-            line = last
-            if first != last:  # a quoted cell runs across lines
-                for name, cell in (("id", rid), ("type", dwelling)):
-                    if "," in cell.replace("\r", "\n").partition("\n")[2]:
-                        problems.append(f"{name} cell spans lines {first}-{last}: "
-                                        "an unbalanced quote is likely")
-                        line = first
-            if not rid:
-                problems.append("missing id")
-            elif rid in seen_ids:
-                problems.append(f"duplicate id {rid!r}")
-            list_date = dates.get(date_text)
-            if list_date is None and not date_text:
-                problems.append("missing date")
-            elif list_date is None:
-                try:
-                    # fromisoformat also takes 20150302 and 2015-W10-1 from Python 3.11 on
-                    if len(date_text) != 10 or date_text[4] != "-" or date_text[7] != "-":
-                        raise ValueError
-                    list_date = dates[date_text] = datetime.date.fromisoformat(date_text)
-                except ValueError:
-                    problems.append(f"bad date {date_text!r}")
-            price = _opt_number(price_text, int, "price", problems)
-            lat = _opt_number(lat_text, float, "latitude", problems)
-            lng = _opt_number(lng_text, float, "longitude", problems)
-            if lat is not None and not -90.0 <= lat <= 90.0:
-                problems.append(f"latitude {lat!r} out of range")
-            if lng is not None and not -180.0 <= lng <= 180.0:
-                problems.append(f"longitude {lng!r} out of range")
-            bedrooms = _opt_number(bed_text, int, "bedrooms", problems)
-            if bedrooms is not None and bedrooms < 0:
-                problems.append(f"negative bedroom count {bedrooms!r}")
-            if problems:
-                errors.append(ParseError(line, _share(shared, "; ".join(problems))))
-                continue
-            assert list_date is not None
-            seen_ids.add(rid)
-            records.append(RawListing(rid, list_date, price, lat, lng, bedrooms,
-                                      _share(shared, dwelling) if dwelling else None))
-    except csv.Error as exc:  # the field limit, say, after an unbalanced quote
-        raise csv.Error(f"line {last + 1}: {exc}") from exc
+    for first, last, cells in read_rows(source, astuple(schema)):
+        rid, date_text, price_text, lat_text, lng_text, bed_text, dwelling = map(
+            str.strip, cells)
+        problems: list[str] = []
+        line = last
+        if first != last:  # a quoted cell runs across lines
+            for name, cell in (("id", rid), ("type", dwelling)):
+                if "," in cell.replace("\r", "\n").partition("\n")[2]:
+                    problems.append(f"{name} cell spans lines {first}-{last}: "
+                                    "an unbalanced quote is likely")
+                    line = first
+        if not rid:
+            problems.append("missing id")
+        elif rid in seen_ids:
+            problems.append(f"duplicate id {rid!r}")
+        list_date = dates.get(date_text)
+        if list_date is None and not date_text:
+            problems.append("missing date")
+        elif list_date is None:
+            try:
+                # fromisoformat also takes 20150302 and 2015-W10-1 from Python 3.11 on
+                if len(date_text) != 10 or date_text[4] != "-" or date_text[7] != "-":
+                    raise ValueError
+                list_date = dates[date_text] = datetime.date.fromisoformat(date_text)
+            except ValueError:
+                problems.append(f"bad date {date_text!r}")
+        price = _opt_number(price_text, int, "price", problems)
+        lat = _opt_number(lat_text, float, "latitude", problems)
+        lng = _opt_number(lng_text, float, "longitude", problems)
+        if lat is not None and not -90.0 <= lat <= 90.0:
+            problems.append(f"latitude {lat!r} out of range")
+        if lng is not None and not -180.0 <= lng <= 180.0:
+            problems.append(f"longitude {lng!r} out of range")
+        bedrooms = _opt_number(bed_text, int, "bedrooms", problems)
+        if bedrooms is not None and bedrooms < 0:
+            problems.append(f"negative bedroom count {bedrooms!r}")
+        if problems:
+            errors.append(ParseError(line, _share(shared, "; ".join(problems))))
+            continue
+        assert list_date is not None
+        seen_ids.add(rid)
+        records.append(RawListing(rid, list_date, price, lat, lng, bedrooms,
+                                  _share(shared, dwelling) if dwelling else None))
     return records, errors
 
 

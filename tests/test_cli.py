@@ -189,7 +189,7 @@ class TestIngest:
         assert "\\u2014" in expected
         assert (out / "parse_errors.json").read_bytes() == expected.encode("ascii")
 
-    @pytest.mark.parametrize("spec", ["price", "colour=x", "price="])
+    @pytest.mark.parametrize("spec", ["price", "colour=x", "price=", "lat=lng", "id=price"])
     def test_malformed_schema_is_usage_error(self, tmp_path, capsys, spec):
         src = tmp_path / "raw.csv"
         write_raw_csv(filtration_fixture_raw(), src)
@@ -232,7 +232,7 @@ def test_repeated_listings_column_is_data_error(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert run(command, "--input", str(src), "--output-dir", str(out)) == 2
     err = capsys.readouterr().err
-    assert "error: repeated mapped column(s): price" in err
+    assert f"error: {src}: repeated mapped column(s): price" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -510,6 +510,29 @@ class TestUnbalancedQuote:
         assert run(command, "--input", str(src), "--output-dir", str(out)) == 2
         err = capsys.readouterr().err
         assert f"error: {src}: line 2: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "index"])
+    def test_open_quote_in_the_header_is_data_error_at_line_1(self, tmp_path, capsys,
+                                                              command):
+        src = tmp_path / "header.csv"
+        src.write_text('id,"date,price,lat,lng,bedrooms,type\n' + "".join(
+            f"r{i},2015-01-05,{200_000 + i},53.35,-6.26,3,house\n" for i in range(4000)))
+        out = tmp_path / "o"
+        assert run(command, "--input", str(src), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {src}: line 1: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_open_quote_in_a_series_header_is_data_error_at_line_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text('month,"value\n' + "2015-03,102\n" * 20_000)
+        out = tmp_path / "o"
+        assert run("compare", str(bad), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 1: field larger than field limit (131072)" in err
         assert "Traceback" not in err
         assert not out.exists()
 

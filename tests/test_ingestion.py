@@ -20,6 +20,7 @@ from geohpi.ingestion import (
     is_finite_float,
     month_key_of,
     parse_listings,
+    read_rows,
     write_listings_csv,
 )
 
@@ -176,6 +177,19 @@ class TestParse:
         text = HEADER + "g1,2015-01-15,200000,53.0,-7.0,3,house\n\n" + "x" * 200_000 + "\n"
         with pytest.raises(csv.Error, match=r"^line 4: field larger than field limit"):
             parse(text)
+        # a quote left open in the header is read inside the same handler
+        text = 'id,"date,price,lat,lng,bedrooms,type\n' + "x" * 200_000 + "\n"
+        with pytest.raises(csv.Error, match=r"^line 1: field larger than field limit"):
+            parse(text)
+
+    def test_read_rows_yields_line_spans_and_the_named_cells(self):
+        text = ('note,b,a\n'            # line 1
+                'x,1,2\n'               # line 2
+                '\n'                    # line 3
+                '"two\nlines",3,4,5\n'  # lines 4-5, a long row
+                'y\n')                  # line 6, a short row
+        assert list(read_rows(io.StringIO(text), ["a", None, "b"])) == [
+            (2, 2, ("2", "", "1")), (4, 5, ("4", "", "3")), (6, 6, ("", "", ""))]
 
     def test_row_layouts(self):
         # columns in any order among unmapped ones; short, long and blank rows
@@ -310,6 +324,15 @@ class TestSchemaSpec:
     def test_only_type_may_be_dropped(self):
         with pytest.raises(ValueError):
             CsvSchema.from_spec("price=")
+
+    def test_two_fields_may_not_share_a_column(self):
+        with pytest.raises(ValueError, match="fields lat and lng share column 'lng'"):
+            CsvSchema(lat="lng")
+        with pytest.raises(ValueError, match="fields id and price share column 'price'"):
+            CsvSchema.from_spec("id=price")
+        with pytest.raises(ValueError, match="fields price and dwelling_type share"):
+            CsvSchema(dwelling_type="price")
+        assert CsvSchema(dwelling_type=None).dwelling_type is None
 
 
 class TestFilterRules:

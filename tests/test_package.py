@@ -26,6 +26,34 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert private_imports(Path(geohpi.__file__).parent) == []
 
 
+def csv_reader_calls(package: Path) -> list[str]:
+    """``module.function`` enclosing each ``csv.reader`` or ``csv.DictReader`` call
+    in a module under ``package``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("reader", "DictReader")
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "csv"):
+                found.append(where)
+            visit(child, where)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_csv_rows_are_read_in_one_place():
+    """Every CSV input is split into rows by ``ingestion.read_rows``, the one home
+    of the header, line and ``csv.Error`` rules."""
+    assert csv_reader_calls(Path(geohpi.__file__).parent) == ["ingestion.read_rows"]
+
+
 def test_readme_library_import_block_runs():
     """README's ``from geohpi import (...)`` block under "Library surface" imports,
     so renaming or dropping an export it names fails here."""
