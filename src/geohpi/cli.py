@@ -38,9 +38,9 @@ from .index_engine import (
 from .ingestion import (
     CsvSchema,
     SchemaError,
-    add_months,
     filter_listings,
     is_finite_float,
+    is_month,
     parse_listings,
     read_rows,
     write_csv,
@@ -337,20 +337,12 @@ def cmd_index(args) -> None:
               f"msm={stats.msm:.4f} sd_diffs={stats.std_dev_diffs:.4f}")
 
 
-def _is_month(text: str) -> bool:
-    """Whether ``text`` is a calendar month written ``YYYY-MM``."""
-    try:
-        return len(text) == 7 and add_months(text, 0) == text
-    except ValueError:
-        return False
-
-
 def _read_series_csv(path: str) -> tuple[dict[str, float], object]:
     """A ``month,value`` series file: ({month: value}, SHA-256 of its bytes)."""
     with _user_file(path) as (handle, digest):
         series: dict[str, float] = {}
         for _, line, (month, text) in read_rows(handle, ["month", "value"]):
-            if not _is_month(month):
+            if not is_month(month):
                 raise DataError(f"{path}:{line}: month {month!r} is not YYYY-MM")
             if not is_finite_float(text):
                 raise DataError(f"{path}:{line}: non-numeric value {text!r}")

@@ -135,14 +135,10 @@ def key_length(config: IndexConfig) -> int:
 
 
 def build_tree(
-    records: Sequence[ListingRecord],
-    config: IndexConfig,
-    keys: dict[str, str],
-    by_month: bool = True,
+    records: Sequence[ListingRecord], config: IndexConfig, keys: dict[str, str]
 ) -> GeoTree:
-    """Build the tree over ``records``, keyed by ``keys[id]``, month-grouped if ``by_month``."""
-    tree = GeoTree(key_length(config),
-                   group_key=operator.attrgetter("month_key") if by_month else None)
+    """Build the tree over ``records``, keyed by ``keys[id]`` and labelled by month."""
+    tree = GeoTree(key_length(config), group_key=operator.attrgetter("month_key"))
     for r in records:
         tree.insert(keys[r.id], r)
     return tree
@@ -155,17 +151,15 @@ def removal_count(fraction: float, total: int) -> int:
 
 
 def voting_stage(
-    records: Sequence[ListingRecord],
-    tree: GeoTree,
-    config: IndexConfig,
-    keys: dict[str, str],
+    records: Sequence[ListingRecord], config: IndexConfig, keys: dict[str, str]
 ) -> list[ListingRecord]:
     """Drop the least-voted share of the dataset.
 
     Every record gives one vote to each of its ``votes_per_record`` nearest
-    distinct neighbours (itself excluded); records are ranked by vote count
-    and the lowest ``removal_fraction`` share is removed, ties at the
-    cutoff broken by record id so the removed count is exact.
+    distinct neighbours (itself excluded), found through a tree over
+    ``records`` built only when some share is removed; records are ranked
+    by vote count and the lowest ``removal_fraction`` share is removed,
+    ties at the cutoff broken by record id so the removed count is exact.
     """
     records = list(records)
     if len(records) < 2:
@@ -173,6 +167,7 @@ def voting_stage(
     to_remove = removal_count(config.removal_fraction, len(records))
     if to_remove == 0:
         return records
+    tree = build_tree(records, config, keys)
     votes: dict[str, int] = {r.id: 0 for r in records}
     for r in records:
         # the k nearest distinct neighbours, found one at a time
@@ -214,20 +209,18 @@ def month_range(records: Iterable[ListingRecord]) -> list[str]:
 
 
 def build_ratio_matrix(
-    records: Sequence[ListingRecord],
-    tree: GeoTree,
-    config: IndexConfig,
-    keys: dict[str, str],
+    records: Sequence[ListingRecord], config: IndexConfig, keys: dict[str, str]
 ) -> RatioMatrix:
     """Median price ratio of every base month to every earlier month.
 
     For each record of the base month, its nearest neighbour listed in the
-    earlier month is found through the tree and the price ratio
-    record/neighbour is collected; the entry is the median of those ratios
-    (mean of the two central values for even counts).  Month pairs with no
-    matches stay absent.  ``tree`` holds exactly ``records``, so an earlier
-    month without records has no neighbour to find and is not queried.
+    earlier month is found through a month-labelled tree over ``records``
+    and the price ratio record/neighbour is collected; the entry is the
+    median of those ratios (mean of the two central values for even
+    counts).  Month pairs with no matches stay absent.  An earlier month
+    without records has no neighbour to find and is not queried.
     """
+    tree = build_tree(records, config, keys)
     months = month_range(records)
     by_month: dict[str, list[ListingRecord]] = {m: [] for m in months}
     for r in records:
@@ -294,9 +287,11 @@ def chain_index(matrix: RatioMatrix, config: IndexConfig) -> IndexSeries:
 def compute_index(
     records: Sequence[ListingRecord], config: IndexConfig = IndexConfig()
 ) -> IndexResult:
-    """Run the full pipeline: tree, voting, rebuilt tree, ratios, chaining.
+    """Run the full pipeline: voting, ratio matrix, chaining.
 
-    Deterministic for a fixed input order and config.
+    Each neighbour stage builds its own tree over the records it matches,
+    so one tree is alive at a time.  Deterministic for a fixed input order
+    and config.
     """
     records = list(records)
     timings: dict[str, float] = {}
@@ -305,20 +300,11 @@ def compute_index(
         raise ValueError("record ids must be unique")
 
     start = time.perf_counter()
-    tree = build_tree(records, config, keys, by_month=False)
-    timings["build_tree"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    survivors = voting_stage(records, tree, config, keys)
+    survivors = voting_stage(records, config, keys)
     timings["voting"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    del tree  # one tree alive at a time
-    tree = build_tree(survivors, config, keys)
-    timings["rebuild_tree"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    matrix = build_ratio_matrix(survivors, tree, config, keys)
+    matrix = build_ratio_matrix(survivors, config, keys)
     timings["ratio_matrix"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -60,7 +60,8 @@ class CsvSchema:
         """Build a schema from ``field=column`` pairs, e.g. ``price=asking,type=``.
 
         Unmentioned fields keep their defaults; an empty column name for
-        ``type`` drops the dwelling-type column entirely.
+        ``type`` drops the dwelling-type column entirely.  A field may be
+        named once; ``type`` and ``dwelling_type`` are one field.
         """
         schema = cls()
         if not spec.strip():
@@ -74,6 +75,8 @@ class CsvSchema:
                 field_name = "dwelling_type"
             if field_name not in schema.__dataclass_fields__:
                 raise ValueError(f"unknown schema field {field_name!r}")
+            if field_name in overrides:
+                raise ValueError(f"schema field {field_name!r} is named twice")
             overrides[field_name] = column or None
         for field_name, column in overrides.items():
             if column is None and field_name != "dwelling_type":
@@ -144,6 +147,14 @@ def add_months(month: str, count: int) -> str:
     year, mon = (int(part) for part in month.split("-"))
     idx = year * 12 + (mon - 1) + count
     return f"{idx // 12:04d}-{idx % 12 + 1:02d}"
+
+
+def is_month(text: str) -> bool:
+    """Whether ``text`` is a calendar month written ``YYYY-MM``."""
+    try:
+        return len(text) == 7 and add_months(text, 0) == text
+    except ValueError:
+        return False
 
 
 def _opt_number(text: str, convert, label: str, problems: list[str]):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geocode import GeoPoint
-from .ingestion import ListingRecord, add_months, month_key_of, write_csv
+from .ingestion import ListingRecord, add_months, is_month, month_key_of, write_csv
 
 # Ireland-sized box; nothing downstream depends on where the clusters sit.
 _LAT_SPAN = (52.0, 55.0)
@@ -78,6 +78,8 @@ class SynthConfig:
             raise ValueError("bedroom_premium multipliers must be positive")
         if self.base_price <= 0:
             raise ValueError("base_price must be positive")
+        if not is_month(self.start_month):
+            raise ValueError(f"start_month must be YYYY-MM, got {self.start_month!r}")
 
 
 def _pick_bedrooms(rng: random.Random, row: Sequence[float]) -> int:

@@ -189,7 +189,9 @@ class TestIngest:
         assert "\\u2014" in expected
         assert (out / "parse_errors.json").read_bytes() == expected.encode("ascii")
 
-    @pytest.mark.parametrize("spec", ["price", "colour=x", "price=", "lat=lng", "id=price"])
+    @pytest.mark.parametrize("spec", ["price", "colour=x", "price=", "lat=lng", "id=price",
+                                      "price=asking,price=cost",
+                                      "type=kind,dwelling_type=class"])
     def test_malformed_schema_is_usage_error(self, tmp_path, capsys, spec):
         src = tmp_path / "raw.csv"
         write_raw_csv(filtration_fixture_raw(), src)
@@ -379,7 +381,7 @@ class TestIndex:
         assert run("index", "--input", str(data / "listings.csv"),
                    "--output-dir", str(out)) == 0
         timings = json.loads((out / "index_manifest.json").read_text())["timings_s"]
-        assert {"parse", "filter", "voting", "ratio_matrix"} <= set(timings)
+        assert set(timings) == {"parse", "filter", "voting", "ratio_matrix", "chain"}
 
     def test_malformed_schema_is_usage_error(self, tmp_path, capsys):
         data = synth(tmp_path)

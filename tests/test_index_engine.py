@@ -37,15 +37,11 @@ def keys_for(records, config):
 
 
 def run_voting(records, config):
-    keys = keys_for(records, config)
-    tree = build_tree(records, config, keys)
-    return voting_stage(records, tree, config, keys)
+    return voting_stage(records, config, keys_for(records, config))
 
 
 def run_matrix(records, config):
-    keys = keys_for(records, config)
-    tree = build_tree(records, config, keys)
-    return build_ratio_matrix(records, tree, config, keys)
+    return build_ratio_matrix(records, config, keys_for(records, config))
 
 
 class TestConfig:
@@ -129,9 +125,8 @@ class TestVoting:
         records = [make_record("a", 53.0, -7.0, 100_000)]
         config = IndexConfig()
         keys = keys_for(records, config)
-        tree = build_tree(records, config, keys)
         with pytest.raises(VotingUndefinedError):
-            voting_stage(records, tree, config, keys)
+            voting_stage(records, config, keys)
 
     def test_matches_linear_scan(self):
         rng = random.Random(3)
@@ -142,8 +137,7 @@ class TestVoting:
             IndexConfig(removal_fraction=0.10, factor_bedrooms=True),
         ):
             keys = keys_for(records, config)
-            tree = build_tree(records, config, keys)
-            survivors = voting_stage(records, tree, config, keys)
+            survivors = voting_stage(records, config, keys)
             expected = voting_scan(records, keys, config)
             assert [r.id for r in survivors] == [r.id for r in expected]
 
@@ -211,8 +205,7 @@ class TestRatioMatrix:
         )
         for config in (IndexConfig(), IndexConfig(factor_bedrooms=True)):
             keys = keys_for(records, config)
-            tree = build_tree(records, config, keys)
-            matrix = build_ratio_matrix(records, tree, config, keys)
+            matrix = build_ratio_matrix(records, config, keys)
             months, entries, support = matrix_scan(records, keys, config)
             assert list(matrix.months) == months
             assert matrix.entries == entries
@@ -227,7 +220,6 @@ class TestRatioMatrix:
         records.append(make_record("stray", 53.5, -7.5, 150_000, "2005-01"))
         config = IndexConfig()
         keys = keys_for(records, config)
-        tree = build_tree(records, config, keys)
         calls = []
         nearest = GeoTree.nearest_in_group
 
@@ -236,7 +228,7 @@ class TestRatioMatrix:
             return nearest(self, *args, **kwargs)
 
         monkeypatch.setattr(GeoTree, "nearest_in_group", counted)
-        matrix = build_ratio_matrix(records, tree, config, keys)
+        matrix = build_ratio_matrix(records, config, keys)
         filled = sorted({r.month_key for r in records})
         assert len(calls) == sum(filled.index(r.month_key) for r in records)
         months, entries, support = matrix_scan(records, keys, config)
@@ -457,16 +449,14 @@ class TestComputeIndex:
         combined = threes + fours
         config = IndexConfig(factor_bedrooms=True, removal_fraction=0.0)
         keys = keys_for(combined, config)
-        tree = build_tree(combined, config, keys)
-        matrix = build_ratio_matrix(combined, tree, config, keys)
+        matrix = build_ratio_matrix(combined, config, keys)
 
         plain = IndexConfig(factor_bedrooms=False, removal_fraction=0.0)
         merged_entries = {}
         merged_support = {}
         for subset in (threes, fours):
             sub_keys = keys_for(subset, plain)
-            sub_tree = build_tree(subset, plain, sub_keys)
-            sub_matrix = build_ratio_matrix(subset, sub_tree, plain, sub_keys)
+            sub_matrix = build_ratio_matrix(subset, plain, sub_keys)
             for pair, value in sub_matrix.entries.items():
                 if pair in merged_entries:
                     # both groups contributed: medians cannot merge; combine
@@ -479,6 +469,7 @@ class TestComputeIndex:
         # support totals and spot-check that factored matches stay in-group
         for pair, count in matrix.support.items():
             assert merged_support[pair] == count
+        tree = build_tree(combined, config, keys)
         for record in combined[:20]:
             neighbour = tree.nearest_in_group(
                 keys[record.id], record.point, "2015-02"
@@ -545,10 +536,8 @@ class TestComputeIndex:
 
         monkeypatch.setattr(geotree, "haversine_distance", counted_haversine)
         monkeypatch.setattr(GeoTree, "nearest_in_group", counted_nearest)
-        survivors = voting_stage(records, build_tree(records, config, keys, by_month=False),
-                                 config, keys)
-        matrix = build_ratio_matrix(survivors, build_tree(survivors, config, keys),
-                                    config, keys)
+        survivors = voting_stage(records, config, keys)
+        matrix = build_ratio_matrix(survivors, config, keys)
         assert len(per_query) > 2 * 600
         assert max(per_query) <= 2
         monkeypatch.undo()
@@ -651,8 +640,9 @@ def test_median_matches_statistics_on_drawn_values(values):
 
 
 def test_compute_index_builds_only_the_maps_its_queries_read(monkeypatch):
-    # the voting tree builds only its all-rows map and the month tree only
-    # its per-month maps; neither builds records per prefix
+    # both trees are month-labelled, yet the voting tree builds only its
+    # all-rows map and the month tree only its per-month maps; neither
+    # builds records per prefix
     trees = []
 
     def recorded_build_tree(*args, **kwargs):
@@ -665,8 +655,22 @@ def test_compute_index_builds_only_the_maps_its_queries_read(monkeypatch):
         trees.clear()
         compute_index(records, config)
         voting_tree, month_tree = trees
-        assert voting_tree.group_key is None and month_tree.group_key is not None
+        assert voting_tree.group_key is not None and month_tree.group_key is not None
         assert set(voting_tree._maps) == {"rows"}
         assert list(voting_tree._maps["rows"]) == [None]
         assert set(month_tree._maps) == {"labels"}
         assert set(month_tree._maps["labels"]) == {r.month_key for r in records}
+
+
+def test_compute_index_without_removal_builds_one_tree(monkeypatch):
+    # voting with nothing to remove queries no tree, so builds none
+    built = []
+
+    def counted_build_tree(*args, **kwargs):
+        built.append(args)
+        return build_tree(*args, **kwargs)
+
+    records, _ = generate(mix_shift_config(seed=5, months=4, records_per_month=40))
+    monkeypatch.setattr(index_engine, "build_tree", counted_build_tree)
+    compute_index(records, IndexConfig(removal_fraction=0.0))
+    assert len(built) == 1

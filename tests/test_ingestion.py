@@ -325,6 +325,15 @@ class TestSchemaSpec:
         with pytest.raises(ValueError):
             CsvSchema.from_spec("price=")
 
+    @pytest.mark.parametrize("spec, field", [
+        ("price=asking,price=cost", "price"),
+        ("type=kind,dwelling_type=class", "dwelling_type"),
+        ("dwelling_type=kind,type=", "dwelling_type"),
+    ])
+    def test_field_named_twice_rejected(self, spec, field):
+        with pytest.raises(ValueError, match=f"schema field '{field}' is named twice"):
+            CsvSchema.from_spec(spec)
+
     def test_two_fields_may_not_share_a_column(self):
         with pytest.raises(ValueError, match="fields lat and lng share column 'lng'"):
             CsvSchema(lat="lng")

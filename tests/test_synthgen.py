@@ -39,6 +39,8 @@ class TestConfigValidation:
             {"bedroom_mix": ((0.5, 0.5, 0.0, 0.0, 0.0, float("inf")),)},
             {"bedroom_premium": (1.0, 1.0, float("inf"), 1.0, 1.0, 1.0)},
             {"bedroom_premium": (1.0, 1.0, float("nan"), 1.0, 1.0, 1.0)},
+            {"start_month": "2015-13"},  # would run on as 2016-01
+            {"start_month": "Jan"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
