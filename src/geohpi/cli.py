@@ -202,30 +202,12 @@ def cmd_ingest(args) -> None:
           f"({report.surviving_fraction:.1%})")
 
 
-# Each command's config class, the error raised for a value the class rejects
-# (exit 1 for ``index``, 2 for ``synth``), and each of its flags with the field
-# it sets.  The ``index`` field names are its ``--config`` keys.
-_CONFIG_FLAGS = {
-    "index": (IndexConfig, _UsageError, {
-        "--precision": "geohash_precision",
-        "--factor-bedrooms": "factor_bedrooms",
-        "--votes-k": "votes_per_record",
-        "--removal-fraction": "removal_fraction",
-        "--min-ratios": "min_ratios_for_chain",
-        "--scb-min-population": "scb_min_population",
-        "--chain-mode": "chain_mode",
-    }),
-    "synth": (SynthConfig, DataError, {
-        "--months": "months",
-        "--records-per-month": "records_per_month",
-        "--drift": "drift",
-        "--noise": "noise",
-        "--clusters": "cluster_count",
-        "--base-price": "base_price",
-        "--mix": "bedroom_mix",
-        "--premiums": "bedroom_premium",
-        "--seed": "seed",
-    }),
+# Each command's config class and the fields no flag sets.  Every other field
+# is set by the flag ``--`` plus its name, ``_`` written ``-``; the field names
+# are also the ``index`` command's ``--config`` keys.
+_CONFIGS = {
+    "index": (IndexConfig, ()),
+    "synth": (SynthConfig, ("cluster_radius_deg", "start_month")),
 }
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
@@ -283,15 +265,16 @@ def _read_config_file(path: str, defaults: dict) -> dict:
 def _config(args):
     """The command's config class built from its ``--config`` file, if any, with
     every flag given put over the file's values."""
-    cls, rejected, flags = _CONFIG_FLAGS[args.command]
+    cls = _CONFIGS[args.command][0]
     config_file = getattr(args, "config", None)
     values = _read_config_file(config_file, asdict(cls())) if config_file else {}
-    given = {field: getattr(args, field) for field in flags.values()}
+    # a field no flag sets is not in ``args``
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
     values.update((field, value) for field, value in given.items() if value is not None)
     try:
         return cls(**values)
     except ValueError as exc:
-        raise rejected(str(exc)) from exc
+        raise _UsageError(str(exc)) from exc
 
 
 def cmd_index(args) -> None:
@@ -358,6 +341,8 @@ def cmd_compare(args) -> None:
     names = args.names.split(",") if args.names else [Path(p).stem for p in args.series]
     if len(names) != len(args.series):
         raise _UsageError("--names must list one name per series")
+    if not all(name.strip() for name in names):
+        raise _UsageError("--names holds a blank name")
     if len(set(names)) != len(names):
         repeated = next(name for name in names if names.count(name) > 1)
         raise _UsageError(f"series name {repeated!r} is repeated; "
@@ -431,14 +416,15 @@ def build_parser() -> _Parser:
     sub.choices["index"].add_argument("--config", help="flat key = value config file")
     sub.choices["compare"].add_argument("series", nargs="+")
     sub.choices["compare"].add_argument("--names", help="comma-separated series names")
-    for command, (cls, _, flags) in _CONFIG_FLAGS.items():
-        defaults = asdict(cls())
-        for flag, field in flags.items():
-            default = defaults[field]
-            typing = ({"action": "store_true", "default": None} if isinstance(default, bool)
-                      else {"type": functools.partial(_parse_value, default),
-                            "help": _value_kind(default)})
-            sub.choices[command].add_argument(flag, dest=field, **typing)
+    for command, (cls, unflagged) in _CONFIGS.items():
+        for field in fields(cls):
+            if field.name in unflagged:
+                continue
+            typing = ({"action": "store_true", "default": None}
+                      if isinstance(field.default, bool)
+                      else {"type": functools.partial(_parse_value, field.default),
+                            "help": _value_kind(field.default)})
+            sub.choices[command].add_argument("--" + field.name.replace("_", "-"), **typing)
     return parser
 
 

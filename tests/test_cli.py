@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -6,19 +7,28 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
 from geohpi import cli
-from geohpi.cli import _CONFIG_FLAGS, main
+from geohpi.cli import main
+from geohpi.index_engine import IndexConfig
 from geohpi.synthgen import SynthConfig
 
 from helpers import filtration_fixture_raw, make_raw, write_raw_csv
 
-_SYNTH_FLAGS = _CONFIG_FLAGS["synth"][-1]
+# The fields no flag sets; every other config field is set by ``--<field>``.
+_UNFLAGGED = {"cluster_radius_deg", "start_month"}
+_CONFIG_CLASSES = {"index": IndexConfig, "synth": SynthConfig}
+
+
+def config_flags(command):
+    """{flag: field} for every config field of ``command`` that a flag sets."""
+    return {"--" + f.name.replace("_", "-"): f.name
+            for f in fields(_CONFIG_CLASSES[command]) if f.name not in _UNFLAGGED}
 
 
 def run(*argv):
@@ -54,13 +64,13 @@ class TestSynth:
     def test_invalid_mix_exits_with_message(self, tmp_path, capsys):
         out = tmp_path / "bad"
         code = run("synth", "--output-dir", str(out),
-                   "--mix", "0.5,0.6,0,0,0,0")
-        assert code == 2
-        assert "sum" in capsys.readouterr().err
+                   "--bedroom-mix", "0.5,0.6,0,0,0,0")
+        assert code == 1
+        assert "usage error: bedroom_mix row" in capsys.readouterr().err
         assert not (out / "listings.csv").exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--mix", "0,0,x,0,0,0"), ("--premiums", "1,x")]
+        "flag, value", [("--bedroom-mix", "0,0,x,0,0,0"), ("--bedroom-premium", "1,x")]
     )
     def test_unparseable_tuple_is_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "bad"
@@ -73,12 +83,12 @@ class TestSynth:
         ("--drift", "inf", "drift must be finite, got inf"),
         ("--noise", "nan", "noise must be finite, got nan"),
     ])
-    def test_non_finite_value_is_data_error_writing_nothing(self, tmp_path, capsys,
-                                                            flag, value, message):
+    def test_non_finite_value_is_usage_error_writing_nothing(self, tmp_path, capsys,
+                                                             flag, value, message):
         out = tmp_path / "bad"
-        assert run("synth", "--output-dir", str(out), flag, value) == 2
+        assert run("synth", "--output-dir", str(out), flag, value) == 1
         err = capsys.readouterr().err
-        assert f"error: {message}" in err
+        assert f"usage error: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -95,12 +105,13 @@ class TestSynth:
             "seed": 3,
         }
         values = {
-            "--mix": "0,0.5,0.5,0,0,0;0,0,1,0,0,0",
-            "--premiums": "1,1.1,1.2,1.3,1.4,1.5",
+            "--bedroom-mix": "0,0.5,0.5,0,0,0;0,0,1,0,0,0",
+            "--bedroom-premium": "1,1.1,1.2,1.3,1.4,1.5",
         }
-        assert set(_SYNTH_FLAGS.values()) == set(expected)
+        flags = config_flags("synth")
+        assert set(flags.values()) == set(expected)
         argv = ["synth", "--output-dir", str(tmp_path / "out")]
-        for flag, name in _SYNTH_FLAGS.items():
+        for flag, name in flags.items():
             argv += [flag, values.get(flag, str(expected[name]))]
         assert run(*argv) == 0
         manifest = json.loads((tmp_path / "out" / "synth_manifest.json").read_text())
@@ -244,7 +255,7 @@ class TestIndex:
         data = synth(tmp_path)
         out = tmp_path / "indexed"
         assert run("index", "--input", str(data / "listings.csv"),
-                   "--output-dir", str(out), "--min-ratios", "1") == 0
+                   "--output-dir", str(out), "--min-ratios-for-chain", "1") == 0
         with open(out / "index_series.csv") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 6
@@ -293,6 +304,37 @@ class TestIndex:
         assert manifest["config"]["chain_mode"] == "geometric"
         assert manifest["config"]["removal_fraction"] == 0.05
 
+    def test_manifest_config_replays_as_a_config_file(self, tmp_path):
+        data = synth(tmp_path, drift=0.01, noise=0.02)
+        flagged = tmp_path / "flagged"
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(flagged), "--geohash-precision", "6",
+                   "--factor-bedrooms", "--votes-per-record", "2",
+                   "--removal-fraction", "0.05", "--min-ratios-for-chain", "2",
+                   "--chain-mode", "geometric") == 0
+        config = json.loads((flagged / "index_manifest.json").read_text())["config"]
+        cfg = tmp_path / "replay.cfg"
+        # a string is written bare, any other value as JSON writes it
+        lines = (f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+                 for key, value in config.items())
+        cfg.write_text("".join(lines))
+        replayed = tmp_path / "replayed"
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(replayed), "--config", str(cfg)) == 0
+        assert json.loads((replayed / "index_manifest.json").read_text())["config"] == config
+        for name in ("index_series.csv", "ratio_matrix.csv", "metrics.json"):
+            assert (flagged / name).read_bytes() == (replayed / name).read_bytes(), name
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("chain_mode = geometric\nfactor_bedrooms\n")
+        out = tmp_path / "o"
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(out), "--config", str(cfg)) == 1
+        assert f"usage error: {cfg}:2: expected key = value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         data = synth(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -337,8 +379,8 @@ class TestIndex:
             "scb_min_population": 2,
             "chain_mode": "geometric",
         }
-        flags = ["--precision", "6", "--factor-bedrooms", "--votes-k", "2",
-                 "--removal-fraction", "0.05", "--min-ratios", "1",
+        flags = ["--geohash-precision", "6", "--factor-bedrooms", "--votes-per-record", "2",
+                 "--removal-fraction", "0.05", "--min-ratios-for-chain", "1",
                  "--scb-min-population", "2", "--chain-mode", "geometric"]
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in expected.items()))
@@ -793,6 +835,29 @@ class TestCompare:
         assert len(list(csv.DictReader(open(out / "comparison_long.csv")))) == 2
         assert (out / "chart.svg").read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("names, message", [
+        ("x", "--names must list one name per series"),
+        ("x,", "--names holds a blank name"),
+        (" ,y", "--names holds a blank name"),
+    ])
+    def test_bad_names_is_usage_error(self, tmp_path, capsys, names, message):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (a, b):
+            write_series(path, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
+        out = tmp_path / "cmp"
+        assert run("compare", str(a), str(b), "--output-dir", str(out),
+                   "--names", names) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_only_series_is_data_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        write_series(a, [])
+        out = tmp_path / "cmp"
+        assert run("compare", str(a), "--output-dir", str(out)) == 2
+        assert f"error: {a}: series is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_names_flag(self, tmp_path):
         a = tmp_path / "a.csv"
         write_series(a, [(f"2015-{m:02d}", 100 + m) for m in range(1, 6)])
@@ -869,8 +934,8 @@ class TestEndToEnd:
         assert run(
             "synth", "--output-dir", str(data), "--months", "8",
             "--records-per-month", "60", "--drift", "0.003", "--noise", "0.03",
-            "--mix", "0,0,0.8,0.2,0,0;0,0,0.2,0.8,0,0",
-            "--premiums", "1,1,1,1.4,1,1", "--clusters", "3", "--seed", "11",
+            "--bedroom-mix", "0,0,0.8,0.2,0,0;0,0,0.2,0.8,0,0",
+            "--bedroom-premium", "1,1,1,1.4,1,1", "--cluster-count", "3", "--seed", "11",
         ) == 0
         ingested = tmp_path / "ingested"
         assert run("ingest", "--input", str(data / "listings.csv"),
@@ -879,7 +944,7 @@ class TestEndToEnd:
         factored = tmp_path / "factored"
         for out, extra in ((plain, []), (factored, ["--factor-bedrooms"])):
             assert run("index", "--input", str(ingested / "filtered.csv"),
-                       "--output-dir", str(out), "--min-ratios", "1", *extra) == 0
+                       "--output-dir", str(out), "--min-ratios-for-chain", "1", *extra) == 0
         cmp_dir = tmp_path / "cmp"
         assert run(
             "compare",
@@ -903,17 +968,29 @@ class TestEndToEnd:
             assert next(csv.reader(handle)) == ["series_name", "month", "value"]
 
 
+@pytest.mark.parametrize("command", ["index", "synth"])
+def test_every_flagged_field_has_its_flag(command):
+    """A command's options are its file options and one ``--<field>`` per config
+    field, ``_`` written ``-``, so a renamed field renames its flag."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)).choices[command]
+    files = {"index": {"--input", "--schema", "--config"}, "synth": set()}[command]
+    assert set(sub._option_string_actions) == {"-h", "--help", "--output-dir",
+                                              *files, *config_flags(command)}
+
+
 def test_readme_flag_tables_match_the_config_classes():
-    """README's `index` and `synth` tables list every config flag in order, each
-    with its field and its field's default written as the flag would take it."""
+    """README's `index` and `synth` tables list every config flag in field order,
+    each with its field's default written as the flag would take it."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     rows = [tuple(cell.strip().strip("`") for cell in line.strip().strip("|").split("|"))
             for line in readme.read_text(encoding="utf-8").splitlines()
             if line.strip().startswith("| `--")]
-    expected = [(flag, field, cls) for cls, _, flags in _CONFIG_FLAGS.values()
-                for flag, field in flags.items()]
-    assert [row[:2] for row in rows] == [(flag, field) for flag, field, _ in expected]
-    for (flag, field, default), (_, _, cls) in zip(rows, expected):
+    expected = [(flag, field, _CONFIG_CLASSES[command])
+                for command in ("index", "synth")
+                for flag, field in config_flags(command).items()]
+    assert [row[0] for row in rows] == [flag for flag, _, _ in expected]
+    for (flag, default), (_, field, cls) in zip(rows, expected):
         assert cli._parse_value(getattr(cls(), field), default) == getattr(cls(), field), flag
 
 
@@ -936,8 +1013,8 @@ def test_readme_command_lines_parse():
     ("--months", "1_2"),
     ("--records-per-month", "2_0"),
     ("--drift", "0.0_1"),
-    ("--premiums", "1,1,1,1,1,1_0"),
-    ("--mix", "0,0,1_0,0,0,0"),
+    ("--bedroom-premium", "1,1,1,1,1,1_0"),
+    ("--bedroom-mix", "0,0,1_0,0,0,0"),
 ])
 def test_synth_number_with_underscore_is_usage_error(tmp_path, capsys, flag, value):
     # int and float read "_" as a digit separator; listings reject it, and so do flags

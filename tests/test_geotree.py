@@ -117,6 +117,10 @@ class TestInsert:
         with pytest.raises(KeyLengthMismatch):
             tree.insert("gc7x", make_record("a", 53.0, -7.0, 100_000))
 
+    def test_key_length_below_one_rejected(self):
+        with pytest.raises(ValueError, match="key_length must be at least 1"):
+            GeoTree(0)
+
     def test_key_outside_alphabet_rejected(self):
         tree = GeoTree(2)
         with pytest.raises(ValueError):

@@ -141,6 +141,16 @@ class TestVoting:
             expected = voting_scan(records, keys, config)
             assert [r.id for r in survivors] == [r.id for r in expected]
 
+    def test_record_out_of_neighbours_stops_voting(self):
+        # each of four records has three neighbours to give its five votes to,
+        # so every record gets three votes and the smallest id goes
+        records = [make_record(rid, 53.0 + 0.001 * i, -7.0, 100_000)
+                   for i, rid in enumerate("abcd")]
+        config = IndexConfig(removal_fraction=0.25, votes_per_record=5)
+        survivors = run_voting(records, config)
+        assert [r.id for r in survivors] == ["b", "c", "d"]
+        assert survivors == voting_scan(records, keys_for(records, config), config)
+
     def test_survivors_preserve_input_order(self):
         rng = random.Random(4)
         records = clustered_records(rng, 60)

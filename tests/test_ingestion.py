@@ -18,6 +18,7 @@ from geohpi.ingestion import (
     filter_listings,
     add_months,
     is_finite_float,
+    is_month,
     month_key_of,
     parse_listings,
     read_rows,
@@ -122,6 +123,8 @@ class TestParse:
     def test_out_of_range_coordinate_is_parse_error(self):
         _, errors = parse(HEADER + "a1,2015-03-02,250000,99.0,-6.26,3,house\n")
         assert len(errors) == 1 and "latitude" in errors[0].message
+        _, errors = parse(HEADER + "a1,2015-03-02,250000,53.35,180.5,3,house\n")
+        assert [e.message for e in errors] == ["longitude 180.5 out of range"]
 
     def test_negative_bedrooms_is_parse_error(self):
         _, errors = parse(HEADER + "a1,2015-03-02,250000,53.35,-6.26,-2,house\n")
@@ -469,6 +472,14 @@ def test_byte_order_mark_is_skipped(tmp_path):
 def test_month_key_of():
     assert month_key_of(datetime.date(2015, 3, 31)) == "2015-03"
     assert month_key_of(datetime.date(2019, 12, 1)) == "2019-12"
+
+
+@pytest.mark.parametrize("text, month", [
+    ("2015-01", True), ("2015-12", True), ("2015-13", False), ("2015-1", False),
+    ("20a5-01", False), ("", False),
+])
+def test_is_month(text, month):
+    assert is_month(text) is month
 
 
 def test_add_months():
