@@ -180,7 +180,7 @@ def _read_listings(args) -> tuple:
 
 
 def _write_parse_errors(errors: list, handle) -> None:
-    """``json.dump([asdict(e) for e in errors], handle, indent=2)`` and a newline,
+    """``json.dump([e._asdict() for e in errors], handle, indent=2)`` and a newline,
     rendered one error at a time so the list of dicts is never built."""
     separator = "\n"
     handle.write("[")
@@ -277,12 +277,56 @@ def _config(args):
         raise _UsageError(str(exc)) from exc
 
 
+# Filled months this many or more empty months cut off from the rest, at
+# either end of the feed, are stray: most likely a year typed wrong.
+_STRAY_GAP_MONTHS = 12
+
+
+def _stray_months(records) -> dict:
+    """The leading and trailing filled months of ``records`` that
+    ``_STRAY_GAP_MONTHS`` or more empty months cut off from the rest, with the
+    calendar span and the number of filled months.
+
+    The filled months split into runs at each such gap.  An end run is stray
+    while all its months together hold fewer records than the median filled
+    month, so a gap between two runs of real data is no stray."""
+    ids: dict[str, list[str]] = {}
+    for record in records:
+        ids.setdefault(record.month_key, []).append(record.id)
+    months = sorted(ids)
+    ordinal = {m: int(m[:4]) * 12 + int(m[5:]) for m in months}
+    runs: list[list[str]] = [[]]
+    for prev, month in zip([None, *months], months):
+        if prev is not None and ordinal[month] - ordinal[prev] > _STRAY_GAP_MONTHS:
+            runs.append([])
+        runs[-1].append(month)
+    median = sorted(map(len, ids.values()))[len(ids) // 2] if ids else 0
+    leading: list[str] = []
+    trailing: list[str] = []
+    for end, stray in ((0, leading), (-1, trailing)):
+        while len(runs) > 1 and sum(len(ids[m]) for m in runs[end]) < median:
+            stray += runs.pop(end)
+    return {"calendar_months": ordinal[months[-1]] - ordinal[months[0]] + 1 if months else 0,
+            "filled_months": len(months),
+            "leading": {m: ids[m] for m in sorted(leading)},
+            "trailing": {m: ids[m] for m in sorted(trailing)}}
+
+
 def cmd_index(args) -> None:
     config = _config(args)
     schema, kept, report, errors, digest, read_timings = _read_listings(args)
     rejected = report.total - report.surviving
     if rejected:
         print(f"warning: input was not pre-filtered; {rejected} record(s) dropped",
+              file=sys.stderr)
+    strays = _stray_months(kept)
+    stray_ids = {**strays["leading"], **strays["trailing"]}
+    if stray_ids:
+        named = ", ".join(f"{month} ({len(ids)} record{'s' * (len(ids) != 1)})"
+                          for month, ids in sorted(stray_ids.items()))
+        print(f"warning: {len(stray_ids)} stray month(s) {_STRAY_GAP_MONTHS} or more "
+              f"empty months from the rest: {named}; the index spans "
+              f"{strays['calendar_months']} months for {strays['filled_months']} filled",
               file=sys.stderr)
 
     result = compute_index(kept, config)
@@ -311,7 +355,8 @@ def cmd_index(args) -> None:
                         "rejected": {rule: count for rule, count in asdict(report).items()
                                      if rule not in ("total", "surviving")},
                         "filtered": report.surviving,
-                        "after_voting": result.voting.survivors})
+                        "after_voting": result.voting.survivors,
+                        "stray_months": strays})
     if stats is None:
         print(f"index over {len(series.months)} months, "
               "too short for smoothness metrics")
@@ -324,7 +369,11 @@ def _read_series_csv(path: str) -> tuple[dict[str, float], object]:
     """A ``month,value`` series file: ({month: value}, SHA-256 of its bytes)."""
     with _user_file(path) as (handle, digest):
         series: dict[str, float] = {}
-        for _, line, (month, text) in read_rows(handle, ["month", "value"]):
+        for first, line, (month, text), swallowing in read_rows(
+                handle, ["month", "value"], lambda row: is_month(row[0])):
+            if swallowing:
+                raise DataError(f"{path}:{first}: {swallowing[0]} cell spans lines "
+                                f"{first}-{line}: an unbalanced quote is likely")
             if not is_month(month):
                 raise DataError(f"{path}:{line}: month {month!r} is not YYYY-MM")
             if not is_finite_float(text):

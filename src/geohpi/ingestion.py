@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .geocode import GeoPoint
 
@@ -84,8 +84,7 @@ class CsvSchema:
         return replace(schema, **overrides)
 
 
-@dataclass(frozen=True, slots=True)
-class RawListing:
+class RawListing(NamedTuple):
     """A structurally valid CSV row; optional fields may still be missing."""
 
     id: str
@@ -110,10 +109,11 @@ class ListingRecord:
     dwelling_type: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ParseError:
-    # 1-based file line (header is 1); a multi-line row's last line, or its
-    # first when an id or type cell runs past a line break into a comma
+class ParseError(NamedTuple):
+    """A row ``parse_listings`` skipped: its 1-based file line (the header's is 1)
+    and why.  The line is a multi-line row's last, or its first when a cell that
+    spans lines has most likely swallowed the rows after an unbalanced quote."""
+
     row: int
     message: str
 
@@ -157,19 +157,23 @@ def is_month(text: str) -> bool:
         return False
 
 
-def _opt_number(text: str, convert, label: str, problems: list[str]):
-    """``convert(text)``; None when blank or malformed, with the problem noted."""
+def _read_number(text: str, label: str, whole: bool, problems: list[str]):
+    """The int (``whole``) or float in a number cell; None when it is blank, or
+    when it is malformed, with the problem noted."""
+    text = text.strip()
     if not text:
         return None
-    try:
-        if "_" in text:  # int and float read it as a digit separator
-            raise ValueError
-        return convert(text)
-    except ValueError:
-        problems.append(f"{label} {text!r} is not a whole number"
-                        if convert is int and is_finite_float(text)
-                        else f"non-numeric {label} {text!r}")
-        return None
+    if "_" not in text:  # int and float read it as a digit separator
+        try:
+            if not whole:
+                return float(text)
+            if text.isdecimal() or text[0] in "+-" and text[1:].isdecimal():
+                return int(text)  # else int would raise, which costs more than the test
+        except ValueError:  # also an int of thousands of digits
+            pass
+    problems.append(f"{label} {text!r} is not a whole number"
+                    if whole and is_finite_float(text) else f"non-numeric {label} {text!r}")
+    return None
 
 
 def is_finite_float(text: str) -> bool:
@@ -182,14 +186,33 @@ def is_finite_float(text: str) -> bool:
         return False
 
 
-def read_rows(source, names: Sequence[str | None]) -> Iterator[tuple[int, int, tuple]]:
-    """``(first_line, last_line, cells)`` for each data row of a CSV text stream.
+def _read_date(text: str) -> datetime.date | None:
+    """The date ``text`` writes as ``YYYY-MM-DD``, else None."""
+    # fromisoformat also takes 20150302 and 2015-W10-1 from Python 3.11 on
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        return None
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        return None
+
+
+def read_rows(source, names: Sequence[str | None], reads_as_row: Callable[[tuple], bool]
+              ) -> Iterator[tuple[int, int, tuple, tuple[str, ...]]]:
+    """``(first_line, last_line, cells, swallowing)`` for each data row of a CSV
+    text stream.
 
     ``cells`` holds the cells of the header columns ``names`` (two or more)
     in order; a name of None reads a blank cell, as do the missing cells of
     a short row.  A long row's extra cells are ignored and blank lines are
     skipped.  Lines are 1-based, the header's is 1, and a row spans more
     than one when a quoted cell holds a line break.
+
+    ``swallowing`` names the header columns, in header order, whose cell
+    runs past a line break into a line that reads as a row of its own, as
+    when a quote left open swallows the rows after it: a line that splits
+    at its commas into the header's column count, and for whose cells, in
+    ``names`` order, ``reads_as_row`` holds.  A one-line row's is empty.
 
     Raises SchemaError when there is no header, or when a name is absent
     from it or appears in it more than once.  A ``csv.Error``, such as a
@@ -213,6 +236,14 @@ def read_rows(source, names: Sequence[str | None]) -> Iterator[tuple[int, int, t
         # a None name reads the blank cell appended to every row
         cells = itemgetter(*(width if name is None else header.index(name)
                              for name in names))
+
+        def swallows(cell: str) -> bool:
+            # a swallowed line holds no quote, as the next quote ends the cell,
+            # so its commas are exactly its cell breaks
+            return any(len(split) == width and reads_as_row(cells(split + [""]))
+                       for split in (line.split(",") for line in
+                                     cell.replace("\r", "\n").split("\n")[1:]))
+
         last = reader.line_num
         for row in reader:
             first, last = last + 1, reader.line_num
@@ -221,7 +252,8 @@ def read_rows(source, names: Sequence[str | None]) -> Iterator[tuple[int, int, t
                     continue  # a blank line
                 row = (row + [""] * width)[:width]
             row.append("")
-            yield first, last, cells(row)
+            yield first, last, cells(row), () if first == last else tuple(
+                column for column, cell in zip(header, row) if swallows(cell))
     except csv.Error as exc:  # the field limit, say, after an unbalanced quote
         raise csv.Error(f"line {last + 1}: {exc}") from exc
 
@@ -233,9 +265,11 @@ def parse_listings(
 
     ``read_rows`` reads the schema's columns, with its header, row and line
     rules (a header fault is a SchemaError).  Malformed rows become parse
-    errors with their file line, never silently dropped; so does a row whose
-    id or type cell runs past a line break into text with a comma, as when a
-    quote is left open and swallows the rows after it.
+    errors with their file line, never silently dropped.  So does a row with
+    a cell that spans lines and has most likely swallowed the rows after an
+    unbalanced quote: an id or type cell that runs past a line break into
+    text with a comma, or any cell that runs into a line that reads as a
+    row with a valid date; such a row's error is at its first line.
 
     A value that repeats across rows is kept once: rows with the same date
     text share one ``date``, and equal dwelling types and equal error
@@ -251,49 +285,64 @@ def parse_listings(
     seen_ids: set[str] = set()
     dates: dict[str, datetime.date] = {}  # each valid date text seen
     shared: dict[str, str] = {}  # dwelling types and error messages
-    for first, last, cells in read_rows(source, astuple(schema)):
-        rid, date_text, price_text, lat_text, lng_text, bed_text, dwelling = map(
-            str.strip, cells)
+    # builds a named tuple from the tuple of its fields without calling the
+    # class's ``__new__``, a Python function: 0.15 us less a row
+    new = tuple.__new__
+    for first, last, cells, swallowing in read_rows(
+            source, astuple(schema), lambda row: _read_date(row[1].strip()) is not None):
+        rid, date_text, price_text, lat_text, lng_text, bed_text, dwelling = cells
+        rid = rid.strip()
+        dwelling = dwelling.strip()
         problems: list[str] = []
         line = last
         if first != last:  # a quoted cell runs across lines
-            for name, cell in (("id", rid), ("type", dwelling)):
-                if "," in cell.replace("\r", "\n").partition("\n")[2]:
-                    problems.append(f"{name} cell spans lines {first}-{last}: "
-                                    "an unbalanced quote is likely")
-                    line = first
+            at_fault = [column for column, cell in ((schema.id, rid),
+                                                    (schema.dwelling_type, dwelling))
+                        if "," in cell.replace("\r", "\n").partition("\n")[2]]
+            at_fault += [column for column in swallowing if column not in at_fault]
+            if at_fault:
+                line = first
+            problems += [f"{column} cell spans lines {first}-{last}: "
+                         "an unbalanced quote is likely" for column in at_fault]
         if not rid:
             problems.append("missing id")
         elif rid in seen_ids:
             problems.append(f"duplicate id {rid!r}")
         list_date = dates.get(date_text)
-        if list_date is None and not date_text:
-            problems.append("missing date")
-        elif list_date is None:
-            try:
-                # fromisoformat also takes 20150302 and 2015-W10-1 from Python 3.11 on
-                if len(date_text) != 10 or date_text[4] != "-" or date_text[7] != "-":
-                    raise ValueError
-                list_date = dates[date_text] = datetime.date.fromisoformat(date_text)
-            except ValueError:
-                problems.append(f"bad date {date_text!r}")
-        price = _opt_number(price_text, int, "price", problems)
-        lat = _opt_number(lat_text, float, "latitude", problems)
-        lng = _opt_number(lng_text, float, "longitude", problems)
+        if list_date is None:
+            text = date_text.strip()
+            list_date = dates.get(text) or _read_date(text)
+            if list_date is not None:
+                dates[date_text] = dates[text] = list_date
+            else:
+                problems.append(f"bad date {text!r}" if text else "missing date")
+        # Plain digits and floats are read here, every other cell by _read_number;
+        # int and float skip the whitespace around a number, as strip would.
+        # Under 20 digits, int takes any text that isdecimal.
+        price = (int(price_text) if price_text.isdecimal() and len(price_text) < 20
+                 else _read_number(price_text, "price", True, problems))
+        try:
+            if "_" in lat_text or "_" in lng_text:
+                raise ValueError
+            lat = float(lat_text) if lat_text else None
+            lng = float(lng_text) if lng_text else None
+        except ValueError:
+            lat = _read_number(lat_text, "latitude", False, problems)
+            lng = _read_number(lng_text, "longitude", False, problems)
         if lat is not None and not -90.0 <= lat <= 90.0:
             problems.append(f"latitude {lat!r} out of range")
         if lng is not None and not -180.0 <= lng <= 180.0:
             problems.append(f"longitude {lng!r} out of range")
-        bedrooms = _opt_number(bed_text, int, "bedrooms", problems)
+        bedrooms = (int(bed_text) if bed_text.isdecimal() and len(bed_text) < 20
+                    else _read_number(bed_text, "bedrooms", True, problems))
         if bedrooms is not None and bedrooms < 0:
             problems.append(f"negative bedroom count {bedrooms!r}")
         if problems:
-            errors.append(ParseError(line, _share(shared, "; ".join(problems))))
+            errors.append(new(ParseError, (line, _share(shared, "; ".join(problems)))))
             continue
-        assert list_date is not None
         seen_ids.add(rid)
-        records.append(RawListing(rid, list_date, price, lat, lng, bedrooms,
-                                  _share(shared, dwelling) if dwelling else None))
+        records.append(new(RawListing, (rid, list_date, price, lat, lng, bedrooms,
+                                        _share(shared, dwelling) if dwelling else None)))
     return records, errors
 
 

@@ -35,6 +35,12 @@ def run(*argv):
     return main(list(argv))
 
 
+def csv_rows(path) -> list[dict]:
+    """The rows of a CSV file as dicts, read with the file closed after."""
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 def synth(tmp_path, name="data", **flags):
     out = tmp_path / name
     argv = ["synth", "--output-dir", str(out), "--months", "6",
@@ -196,7 +202,7 @@ class TestIngest:
         with open(src, newline="", encoding="utf-8") as handle:
             _, errors = cli.parse_listings(handle, cli.CsvSchema())
         assert len(errors) == 4
-        expected = json.dumps([asdict(e) for e in errors], indent=2) + "\n"
+        expected = json.dumps([e._asdict() for e in errors], indent=2) + "\n"
         assert "\\u2014" in expected
         assert (out / "parse_errors.json").read_bytes() == expected.encode("ascii")
 
@@ -263,7 +269,7 @@ class TestIndex:
         assert all(row["flagged"] == "false" for row in rows)
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["std_dev"] == 0.0
-        matrix_rows = list(csv.DictReader(open(out / "ratio_matrix.csv")))
+        matrix_rows = csv_rows(out / "ratio_matrix.csv")
         assert all(float(row["median_ratio"]) == 1.0 for row in matrix_rows)
 
     def test_identical_runs_write_identical_series(self, tmp_path):
@@ -481,6 +487,63 @@ class TestIndex:
                                        "price_out_of_bounds": 1}
         assert records["parsed"] == 185 and records["filtered"] == 180
 
+    @staticmethod
+    def month_feed(path, counts):
+        """A listings CSV with ``counts[month]`` listings in each month, around one point."""
+        path.write_text("id,date,price,lat,lng,bedrooms,type\n" + "".join(
+            f"{month}-{i},{month}-15,{200_000 + 1_000 * i},53.{300 + i},-6.{200 + i},3,house\n"
+            for month, count in counts.items() for i in range(count)))
+
+    def index_strays(self, tmp_path, capsys, counts):
+        """Index a feed of ``counts`` keeping every record: (stderr, manifest stray_months)."""
+        src, out = tmp_path / "feed.csv", tmp_path / "o"
+        self.month_feed(src, counts)
+        assert run("index", "--input", str(src), "--output-dir", str(out),
+                   "--removal-fraction", "0") == 0
+        manifest = json.loads((out / "index_manifest.json").read_text())
+        months = [row["month"] for row in csv_rows(out / "index_series.csv")]
+        assert (months[0], months[-1]) == (min(counts), max(counts))  # nothing dropped
+        assert manifest["records"]["after_voting"] == sum(counts.values())
+        return capsys.readouterr().err, manifest["records"]["stray_months"]
+
+    YEAR = {f"2015-{m:02d}": 10 for m in range(1, 13)}
+
+    def test_stray_month_ten_years_early_is_reported(self, tmp_path, capsys):
+        err, strays = self.index_strays(tmp_path, capsys, {"2005-01": 1, **self.YEAR})
+        assert ("warning: 1 stray month(s) 12 or more empty months from the rest: "
+                "2005-01 (1 record); the index spans 132 months for 13 filled") in err
+        assert strays == {"calendar_months": 132, "filled_months": 13,
+                          "leading": {"2005-01": ["2005-01-0"]}, "trailing": {}}
+
+    def test_stray_months_at_both_ends_are_reported(self, tmp_path, capsys):
+        err, strays = self.index_strays(
+            tmp_path, capsys, {"2005-01": 1, "2005-03": 1, **self.YEAR, "2030-06": 2})
+        assert ("warning: 3 stray month(s) 12 or more empty months from the rest: "
+                "2005-01 (1 record), 2005-03 (1 record), 2030-06 (2 records); "
+                "the index spans 306 months for 15 filled") in err
+        assert strays["leading"] == {"2005-01": ["2005-01-0"], "2005-03": ["2005-03-0"]}
+        assert strays["trailing"] == {"2030-06": ["2030-06-0", "2030-06-1"]}
+
+    @pytest.mark.parametrize("stray, reported", [("2014-01", False), ("2013-12", True)])
+    def test_stray_gap_is_twelve_empty_months(self, tmp_path, capsys, stray, reported):
+        err, strays = self.index_strays(tmp_path, capsys, {stray: 1, **self.YEAR})
+        assert ("stray month" in err) is reported
+        assert list(strays["leading"]) == ([stray] if reported else [])
+
+    def test_inner_gap_is_not_reported(self, tmp_path, capsys):
+        halves = {**{f"2015-{m:02d}": 10 for m in range(1, 7)},
+                  **{f"2016-{m:02d}": 10 for m in range(7, 13)}}  # 12 empty months between
+        err, strays = self.index_strays(tmp_path, capsys, halves)
+        assert "stray month" not in err
+        assert strays == {"calendar_months": 24, "filled_months": 12,
+                          "leading": {}, "trailing": {}}
+
+    def test_feed_without_gap_gives_no_stray_warning(self, tmp_path, capsys):
+        err, strays = self.index_strays(tmp_path, capsys, self.YEAR)
+        assert "stray month" not in err
+        assert strays == {"calendar_months": 12, "filled_months": 12,
+                          "leading": {}, "trailing": {}}
+
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         data = synth(tmp_path)
         assert run("index", "--input", str(data / "listings.csv"),
@@ -545,6 +608,30 @@ class TestUnbalancedQuote:
         err = capsys.readouterr().err
         assert "warning: 1 malformed row(s) skipped" in err
         assert "error: voting needs at least two records" in err
+
+    def test_open_quote_in_an_unmapped_column_is_a_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "feed.csv"
+        src.write_text("id,date,price,lat,lng,bedrooms,type,note\n" + "".join(
+            f"r{i},2015-{1 + i % 12:02d}-05,{200_000 + i},53.{i % 100:02d},-6.2{i % 10},3,"
+            + ('house,"x\n' if i == 0 else "house,\n") for i in range(200)))
+        out = tmp_path / "o"
+        assert run("ingest", "--input", str(src), "--output-dir", str(out)) == 0
+        captured = capsys.readouterr()
+        assert "kept 0/0 records" in captured.out
+        assert "warning: 1 malformed row(s) skipped" in captured.err
+        assert json.loads((out / "parse_errors.json").read_text()) == [
+            {"row": 2, "message": "note cell spans lines 2-201: an unbalanced quote is likely"}]
+
+    def test_open_quote_in_a_series_is_data_error_at_its_first_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("month,value,note\n2015-01,100,\n2015-02,101,\"x\n"
+                       + "".join(f"2015-{m:02d},{100 + m},\n" for m in range(3, 13)))
+        out = tmp_path / "o"
+        assert run("compare", str(bad), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {bad}:3: note cell spans lines 3-13: an unbalanced quote is likely"
+                in err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "index"])
     def test_cell_past_the_field_limit_is_data_error(self, tmp_path, capsys, command):
@@ -690,7 +777,7 @@ class TestCompare:
         assert run("compare", str(series), "--output-dir", str(out)) == 0
         stdout = capsys.readouterr().out
         assert "only" in stdout
-        table = list(csv.DictReader(open(out / "comparison_table.csv")))
+        table = csv_rows(out / "comparison_table.csv")
         assert len(table) == 1
 
     def test_smooth_series_has_lower_msm(self, tmp_path):
@@ -701,9 +788,9 @@ class TestCompare:
         write_series(spiky, [(m, 100 + (8 if i % 2 else -8)) for i, m in enumerate(months)])
         out = tmp_path / "cmp"
         assert run("compare", str(smooth), str(spiky), "--output-dir", str(out)) == 0
-        table = {row["series"]: row for row in csv.DictReader(open(out / "comparison_table.csv"))}
+        table = {row["series"]: row for row in csv_rows(out / "comparison_table.csv")}
         assert float(table["smooth"]["msm"]) < float(table["spiky"]["msm"])
-        long_rows = list(csv.DictReader(open(out / "comparison_long.csv")))
+        long_rows = csv_rows(out / "comparison_long.csv")
         assert len(long_rows) == 20
         assert {row["series_name"] for row in long_rows} == {"smooth", "spiky"}
 
@@ -832,7 +919,7 @@ class TestCompare:
             assert list(csv.reader(handle)) == [
                 ["series", "std_dev", "std_dev_diffs", "msm", "spike_count"],
                 ["index_series", "", "", "", ""]]
-        assert len(list(csv.DictReader(open(out / "comparison_long.csv")))) == 2
+        assert len(csv_rows(out / "comparison_long.csv")) == 2
         assert (out / "chart.svg").read_text().startswith("<svg")
 
     @pytest.mark.parametrize("names, message", [
@@ -864,7 +951,7 @@ class TestCompare:
         out = tmp_path / "cmp"
         assert run("compare", str(a), "--output-dir", str(out),
                    "--names", "control") == 0
-        table = list(csv.DictReader(open(out / "comparison_table.csv")))
+        table = csv_rows(out / "comparison_table.csv")
         assert table[0]["series"] == "control"
 
 
@@ -951,7 +1038,7 @@ class TestEndToEnd:
             str(plain / "index_series.csv"), str(factored / "index_series.csv"),
             "--output-dir", str(cmp_dir), "--names", "plain,factored",
         ) == 0
-        table = {row["series"]: row for row in csv.DictReader(open(cmp_dir / "comparison_table.csv"))}
+        table = {row["series"]: row for row in csv_rows(cmp_dir / "comparison_table.csv")}
         assert float(table["factored"]["msm"]) < float(table["plain"]["msm"])
         assert (cmp_dir / "chart.svg").exists()
 

@@ -176,6 +176,24 @@ class TestParse:
             (3, "id cell spans lines 3-4: an unbalanced quote is likely; missing date"),
             (6, "type cell spans lines 6-8: an unbalanced quote is likely")]
 
+    def test_open_quote_in_any_cell_is_one_parse_error_at_its_first_line(self):
+        header = "id,date,price,lat,lng,bedrooms,type,note\n"
+        text = (
+            header
+            + "g1,2015-01-15,200000,53.0,-7.0,3,house,\"call\nafter 6, or email\"\n"  # 2-3
+            + 'b1,2015-01-15,200000,53.0,-7.0,3,house,"x\n'                         # 4
+            + "g2,2015-01-15,200000,53.0,-7.0,3,house,\n"                           # 5
+            + 'g3,2015-01-15,200000,53.0,-7.0,3,house,"\n'                          # 6, closes
+            + "g4,2015-01-15,200000,53.0,-7.0,3,house,\n"                           # 7
+            + 'b2,2015-01-15,"2\ng5,2015-01-15,200000,53.0,-7.0,3,house,",53.0,-7.0,3,flat,\n'
+        )
+        records, errors = parse(text)
+        assert [r.id for r in records] == ["g1", "g4"]
+        assert [(e.row, e.message) for e in errors] == [
+            (4, "note cell spans lines 4-6: an unbalanced quote is likely"),
+            (8, "price cell spans lines 8-9: an unbalanced quote is likely; "
+                "non-numeric price '2\\ng5,2015-01-15,200000,53.0,-7.0,3,house,'")]
+
     def test_csv_error_names_the_first_line_of_its_row(self):
         text = HEADER + "g1,2015-01-15,200000,53.0,-7.0,3,house\n\n" + "x" * 200_000 + "\n"
         with pytest.raises(csv.Error, match=r"^line 4: field larger than field limit"):
@@ -191,8 +209,21 @@ class TestParse:
                 '\n'                    # line 3
                 '"two\nlines",3,4,5\n'  # lines 4-5, a long row
                 'y\n')                  # line 6, a short row
-        assert list(read_rows(io.StringIO(text), ["a", None, "b"])) == [
-            (2, 2, ("2", "", "1")), (4, 5, ("4", "", "3")), (6, 6, ("", "", ""))]
+        assert list(read_rows(io.StringIO(text), ["a", None, "b"], lambda row: True)) == [
+            (2, 2, ("2", "", "1"), ()), (4, 5, ("4", "", "3"), ()), (6, 6, ("", "", ""), ())]
+
+    def test_read_rows_names_the_cells_that_swallow_rows(self):
+        text = ('note,month,value\n'    # line 1
+                '"open,2015-01,1\n'     # lines 2-4, the note left open
+                'x,2015-02,2\n'         # a line that reads as a row
+                'y,2015-03,3"\n'
+                '"two\nlines",2015-04,4\n'        # lines 5-6, no row inside
+                '"a,b\n13th,2015-13,5",2015-05,5\n'  # lines 7-8, no valid month
+                '"a,b\nc,d",2015-06,6\n')         # lines 9-10, too few cells
+        rows = list(read_rows(io.StringIO(text), ["month", "value"],
+                              lambda row: is_month(row[0])))
+        assert [(first, last, swallowing) for first, last, _, swallowing in rows] == [
+            (2, 4, ("note",)), (5, 6, ()), (7, 8, ()), (9, 10, ())]
 
     def test_row_layouts(self):
         # columns in any order among unmapped ones; short, long and blank rows
@@ -256,6 +287,31 @@ class TestParse:
         records, errors = parse(text, schema)
         assert errors == []
         assert records[0].id == "x" and records[0].dwelling_type is None
+
+
+class TestParsedTypes:
+    """Parsed rows and parse errors are named tuples: read by field name or
+    unpacked, equal to values built by keyword, immutable and hashable."""
+
+    def test_raw_listing(self):
+        (record,), _ = parse(HEADER + "a1,2015-03-02,250000,53.35,-6.26,3,\n")
+        built = RawListing(id="a1", list_date=datetime.date(2015, 3, 2), price=250000,
+                           lat=53.35, lng=-6.26, bedrooms=3)
+        assert record == built and hash(record) == hash(built)
+        assert (record.id, record.price, record.dwelling_type) == ("a1", 250000, None)
+        rid, list_date, *_ = record
+        assert (rid, list_date) == ("a1", datetime.date(2015, 3, 2))
+        with pytest.raises(AttributeError):
+            record.price = 1
+
+    def test_parse_error(self):
+        _, (error,) = parse(HEADER + "a1,2015-03-02,cheap,53.35,-6.26,3,house\n")
+        built = ParseError(row=2, message="non-numeric price 'cheap'")
+        assert error == built and hash(error) == hash(built)
+        assert (error.row, error.message) == (2, "non-numeric price 'cheap'")
+        assert error._asdict() == {"row": 2, "message": "non-numeric price 'cheap'"}
+        with pytest.raises(AttributeError):
+            error.row = 3
 
 
 class TestSharedValues:
