@@ -31,14 +31,11 @@ def build_random_tree(
 ) -> tuple[GeoTree, list[str]]:
     """Uniform random records in a country-sized box; returns tree and keys."""
     rng = random.Random(seed)
-    tree = GeoTree(precision)
-    keys: list[str] = []
+    items = []
     for i in range(record_count):
         point = GeoPoint(rng.uniform(*_LAT_SPAN), rng.uniform(*_LNG_SPAN))
-        key = encode_geohash(point, precision).text
-        tree.insert(key, _BenchRecord(f"b{i:07d}", point))
-        keys.append(key)
-    return tree, keys
+        items.append((encode_geohash(point, precision).text, _BenchRecord(f"b{i:07d}", point)))
+    return GeoTree(precision, items), [key for key, _ in items]
 
 
 def mean_query_latency(

@@ -245,6 +245,7 @@ def _parse_value(default, text: str):
 
 def _read_config_file(path: str, defaults: dict) -> dict:
     values: dict = {}
+    lines: dict[str, int] = {}  # the line that set each key
     with _user_file(path) as (handle, _):
         for line_no, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
@@ -255,6 +256,10 @@ def _read_config_file(path: str, defaults: dict) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in defaults:
                 raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+            if key in lines:
+                raise _UsageError(f"{path}:{line_no}: config key {key!r} given twice, "
+                                  f"on lines {lines[key]} and {line_no}")
+            lines[key] = line_no
             try:
                 values[key] = _parse_value(defaults[key], value)
             except argparse.ArgumentTypeError as exc:

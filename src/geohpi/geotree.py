@@ -1,12 +1,13 @@
 """Fixed-depth prefix tree over geohash-style keys, kept as prefix maps.
 
 Each map sends every key prefix present (the root is ``""``) to a list:
-the records under it in insertion order, or the packed rows of those that
-carry one label.  A query checks its arguments once, then climbs the key's own
-prefixes, longest first, to the deepest one with enough records, else the
-root: at most ``key_length`` dictionary lookups, whatever the number of
-records.  All keys have the tree's fixed length (geohash precision plus any
-prepended parameter characters).
+the records under it, in the order the tree was given them, or the packed
+rows of those records, all of them or those that carry one label.  A query
+checks its arguments once, then climbs the key's own prefixes, longest
+first, to the deepest one with enough records, else the root: at most
+``key_length`` dictionary lookups, whatever the number of records.  All
+keys have the tree's fixed length (geohash precision plus any prepended
+parameter characters).
 
 A packed row is ``(z, x, y, id, record)``, ``(x, y, z)`` the point's unit
 vector with ``z = sin(lat)`` first.  A nearest-neighbour query scores one
@@ -16,18 +17,16 @@ outward both ways, stopping once ``(z - qz)**2`` alone exceeds a margin
 around the least chord seen so far; rows within it are compared again by
 ``(haversine_distance, id)``, see ``_nearest_row``.
 
-A tree keeps only a log of every key and row in insert order.  Each query
-builds the one map it reads from the log on its first call after an
-insert; see ``GeoTree``.
-
-The tree is write-once: build it, then query it.  Deletion and rebalancing
-are deliberately unsupported, and queries return the maps' live lists;
-treat them as read-only.
+A tree is built once from all its records and keeps only their keys and
+rows; each map is built on its first read, see ``GeoTree``.  Insertion,
+deletion and rebalancing are deliberately unsupported, and queries return
+the maps' live lists; treat them as read-only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from math import cos, inf, radians, sin, sqrt
 from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Hashable, Iterable
@@ -142,32 +141,36 @@ def _add(by_prefix: dict[str, list], key: str, item: Any) -> None:
 class GeoTree:
     """Prefix tree mapping every key prefix present to the records under it.
 
-    ``group_key`` optionally labels each record (typically with its listing
-    month), so each climb step reads its candidates in one dictionary
-    lookup.  An insert only logs its key and row; each query reads one map,
-    which it builds from the log on its first call after an insert:
+    Built once from ``(key, record)`` pairs, whose keys it checks; it keeps
+    each key and its record's row.  ``group_key`` optionally labels each
+    record (typically with its listing month), so each climb step reads its
+    candidates in one dictionary lookup.  Each map is built on its first read:
 
-    - ``scb_query`` and ``walk()`` read ``prefix -> records``;
-    - ``nearest_in_group`` with ``group=None`` reads every row by prefix;
-    - with a label it reads each label's rows by prefix, built for every
-      label in one pass that calls ``group_key``; a record labelled
-      ``None`` is under no label.
+    - ``scb_query`` and ``walk()`` read ``_records``, ``prefix -> records``;
+    - ``nearest_in_group`` reads ``_rows``, every row by prefix, when
+      ``group`` is None, else ``_labels``, ``label -> prefix -> rows``.
 
-    Every map lists its prefixes in the order inserts first reached them,
-    records in insert order and rows sorted by ``z``.  No map holds an
+    Every map lists its prefixes in the order the keys first reached them,
+    records in the order given and rows sorted by ``z``.  No map holds an
     empty list, save the root's in an empty tree.  Records must expose
     ``.id`` (orderable, unique) and ``.point`` (GeoPoint).
     """
 
-    def __init__(self, key_length: int,
+    def __init__(self, key_length: int, items: Iterable[tuple[str, Any]] = (),
                  group_key: Callable[[Any], Hashable] | None = None) -> None:
         if key_length < 1:
             raise ValueError("key_length must be at least 1")
         self.key_length = key_length
         self.group_key = group_key
-        self._keys: list[str] = []  # every inserted key, in insert order
+        self._keys: list[str] = []
         self._log: list[tuple] = []  # the row of each of _keys
-        self._maps: dict[str, dict] = {}  # each map built since the last insert
+        for key, record in items:
+            self._check_length(key)
+            for c in key:
+                if c not in _ALPHABET_SET:
+                    raise ValueError(f"key character {c!r} outside the geohash alphabet")
+            self._keys.append(key)
+            self._log.append((*_unit_vector(record.point), record.id, record))
 
     def __len__(self) -> int:
         return len(self._log)
@@ -178,16 +181,6 @@ class GeoTree:
                 f"key {key!r} has length {len(key)}, tree expects {self.key_length}"
             )
 
-    def insert(self, key: str, record: Any) -> None:
-        """Log ``record``, and its row, under ``key``; every map is built anew on its next read."""
-        self._check_length(key)
-        for c in key:  # validate before touching the log
-            if c not in _ALPHABET_SET:
-                raise ValueError(f"key character {c!r} outside the geohash alphabet")
-        self._keys.append(key)
-        self._log.append((*_unit_vector(record.point), record.id, record))
-        self._maps.clear()
-
     def _check_query(self, key: str, min_population: int) -> None:
         if min_population < 1:
             raise ValueError("min_population must be at least 1")
@@ -195,32 +188,33 @@ class GeoTree:
             raise EmptyTreeError("query on an empty tree")
         self._check_length(key)
 
+    @cached_property
     def _records(self) -> dict[str, list]:
-        """``prefix -> records``, built on the first read since the last insert."""
-        records = self._maps.get("records")
-        if records is None:
-            records = self._maps["records"] = {"": []}
-            for key, row in zip(self._keys, self._log):
-                _add(records, key, row[4])
+        """``prefix -> records``."""
+        records: dict[str, list] = {"": []}
+        for key, row in zip(self._keys, self._log):
+            _add(records, key, row[4])
         return records
 
-    def _rows(self, labelled: bool) -> dict[Hashable, dict[str, list]]:
-        """``label -> prefix -> rows``: each row under its record's label when
-        ``labelled``, else every row under ``None``; built on the first read
-        since the last insert."""
-        kind = "labels" if labelled else "rows"
-        by_label = self._maps.get(kind)
-        if by_label is None:
-            by_label = self._maps[kind] = {}
-            for key, row in zip(self._keys, self._log):
-                label = self.group_key(row[4]) if labelled else None
-                if labelled and label is None:
-                    continue  # under no label
-                _add(by_label.setdefault(label, {}), key, row)
-            for by_prefix in by_label.values():
-                for rows in by_prefix.values():
-                    rows.sort(key=_Z)
+    def _rows_by_label(self, label: Callable[[Any], Hashable]) -> dict[Hashable, dict[str, list]]:
+        """``label(record) -> prefix -> rows``, each row list sorted by ``z``."""
+        by_label: dict[Hashable, dict[str, list]] = {}
+        for key, row in zip(self._keys, self._log):
+            _add(by_label.setdefault(label(row[4]), {}), key, row)
+        for by_prefix in by_label.values():
+            for rows in by_prefix.values():
+                rows.sort(key=_Z)
         return by_label
+
+    @cached_property
+    def _rows(self) -> dict[str, list]:
+        """``prefix -> rows`` over every row, all under one label."""
+        return self._rows_by_label(lambda record: "").get("", {})
+
+    @cached_property
+    def _labels(self) -> dict[Hashable, dict[str, list]]:
+        """``label -> prefix -> rows``, each row under its record's label."""
+        return self._rows_by_label(self.group_key)
 
     def scb_query(self, key: str, min_population: int = 1) -> tuple[list, int]:
         """Return the surrounding common bucket for ``key`` and its depth.
@@ -231,7 +225,7 @@ class GeoTree:
         short, the root's records are returned at depth 0.
         """
         self._check_query(key, min_population)
-        records = self._records()
+        records = self._records
         for depth in range(len(key), 0, -1):
             cache = records.get(key[:depth], ())
             if len(cache) >= min_population:
@@ -262,7 +256,7 @@ class GeoTree:
         if isinstance(exclude, str):  # `in` would match substrings of it
             raise TypeError("exclude must be a set of ids, not a str")
         self._check_query(key, min_population)
-        by_prefix = self._rows(group is not None).get(group, {})
+        by_prefix = self._rows if group is None else self._labels.get(group, {})
         for depth in range(len(key), 0, -1):
             rows = by_prefix.get(key[:depth], ())
             # excluded ids may lie outside this list, so count exactly only
@@ -277,4 +271,4 @@ class GeoTree:
 
     def walk(self) -> Iterable[tuple[str, list]]:
         """Yield ``(prefix, records)`` over the whole tree, parents first."""
-        return iter(self._records().items())  # maps add prefixes shortest first
+        return iter(self._records.items())  # maps add prefixes shortest first

@@ -138,10 +138,8 @@ def build_tree(
     records: Sequence[ListingRecord], config: IndexConfig, keys: dict[str, str]
 ) -> GeoTree:
     """Build the tree over ``records``, keyed by ``keys[id]`` and labelled by month."""
-    tree = GeoTree(key_length(config), group_key=operator.attrgetter("month_key"))
-    for r in records:
-        tree.insert(keys[r.id], r)
-    return tree
+    return GeoTree(key_length(config), ((keys[r.id], r) for r in records),
+                   group_key=operator.attrgetter("month_key"))
 
 
 def removal_count(fraction: float, total: int) -> int:

@@ -416,7 +416,7 @@ def write_listings_csv(records: Sequence[ListingRecord], target) -> None:
     Prices are written as integer euros (rounded when a synthetic price is
     fractional).
     """
-    write_csv(target, ["id", "date", "price", "lat", "lng", "bedrooms", "type"],
+    write_csv(target, astuple(CsvSchema()),
               ([r.id, r.list_date.isoformat(), str(int(round(r.price))),
                 repr(r.point.lat), repr(r.point.lng), str(r.bedrooms),
                 r.dwelling_type or ""] for r in records))

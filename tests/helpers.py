@@ -139,3 +139,9 @@ def write_raw_csv(rows: list[RawListing], path) -> None:
                     r.dwelling_type or "",
                 ]
             )
+
+
+def built_maps(tree) -> dict:
+    """``{name: map}`` for each of a GeoTree's prefix maps built so far."""
+    return {name: vars(tree)[name] for name in ("_records", "_rows", "_labels")
+            if name in vars(tree)}

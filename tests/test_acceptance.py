@@ -57,9 +57,8 @@ def test_criterion_2_geotree_oracle_equivalence():
             r.id: "".join(rng.choice(alphabet) for _ in range(key_length))
             for r in records
         }
-        tree = GeoTree(key_length, group_key=lambda r: r.month_key)
-        for r in records:
-            tree.insert(keys[r.id], r)
+        tree = GeoTree(key_length, ((keys[r.id], r) for r in records),
+                       group_key=lambda r: r.month_key)
         for _ in range(8):
             anchor = records[rng.randrange(count)]
             query = keys[anchor.id]

@@ -341,6 +341,18 @@ class TestIndex:
         assert f"usage error: {cfg}:2: expected key = value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_key_given_twice_is_usage_error(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("removal_fraction = 0.1\nchain_mode = geometric\n"
+                       "removal_fraction = 0.5\n")
+        out = tmp_path / "o"
+        assert run("index", "--input", str(data / "listings.csv"),
+                   "--output-dir", str(out), "--config", str(cfg)) == 1
+        assert (f"usage error: {cfg}:3: config key 'removal_fraction' given twice, "
+                "on lines 1 and 3") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         data = synth(tmp_path)
         cfg = tmp_path / "run.cfg"

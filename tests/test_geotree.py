@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,12 @@ from hypothesis import strategies as st
 from geohpi.geocode import GeoPoint, encode_geohash
 from geohpi.geotree import EmptyTreeError, GeoTree, KeyLengthMismatch
 
-from helpers import clustered_records, make_record
+from helpers import built_maps, clustered_records, make_record
 from oracle import nearest_scan, scb_scan
 
 
 def build_tree(records, keys, key_length, group_key=lambda r: r.month_key):
-    tree = GeoTree(key_length, group_key=group_key)
-    for r in records:
-        tree.insert(keys[r.id], r)
-    return tree
+    return GeoTree(key_length, ((keys[r.id], r) for r in records), group_key=group_key)
 
 
 def root_records(tree):
@@ -45,23 +43,21 @@ def assert_caches_are_unions(tree):
 
 
 def assert_rows_follow_cache(tree):
-    """After one query of each kind the cache holds one map per kind read.
-    Every prefix keeps one packed row per record in the all-rows map, under
-    ``None``: the record's unit vector ``(z, x, y)`` with ``z = sin(lat)``,
-    its id and the record.  A label holds rows at exactly the prefixes whose
-    rows carry it, the same multiset as those rows; no map holds an empty
-    list, and every row list is sorted by ``z``.  Reads with no insert
-    between them share one build of each map."""
+    """After one query of each kind the tree holds one map per kind read.
+    Every prefix keeps one packed row per record in ``_rows``: the record's
+    unit vector ``(z, x, y)`` with ``z = sin(lat)``, its id and the record.
+    A label holds rows at exactly the prefixes whose rows carry it, the same
+    multiset as those rows; no map holds an empty list, and every row list
+    is sorted by ``z``.  Later reads share one build of each map."""
     key, point = "0" * tree.key_length, GeoPoint(0.0, 0.0)
     tree.nearest_in_group(key, point)
     if tree.group_key is not None:
         tree.nearest_in_group(key, point, "no such label")
     walked = list(tree.walk())
-    maps = tree._maps
-    assert set(maps) == {"records", "rows"} | ({"labels"} if tree.group_key else set())
-    assert list(maps["rows"]) == [None]
-    everything = maps["rows"][None]
-    by_label = maps.get("labels", {})
+    maps = built_maps(tree)
+    assert set(maps) == {"_records", "_rows"} | ({"_labels"} if tree.group_key else set())
+    everything = maps["_rows"]
+    by_label = maps.get("_labels", {})
     assert list(everything) == [prefix for prefix, _ in walked]
     for prefix, records in walked:
         assert Counter(id(row[4]) for row in everything[prefix]) == Counter(map(id, records))
@@ -71,19 +67,21 @@ def assert_rows_follow_cache(tree):
             assert (z, x, y, rid) == (
                 math.sin(phi), math.cos(phi) * math.cos(lam),
                 math.cos(phi) * math.sin(lam), record.id)
-        labels = ({tree.group_key(r) for r in records} - {None}) if tree.group_key else set()
+        labels = {tree.group_key(r) for r in records} if tree.group_key else set()
         assert {label for label in by_label if prefix in by_label[label]} == labels
-    for label, by_prefix in [(None, everything), *by_label.items()]:
-        for prefix, rows in by_prefix.items():
+    for by_prefix in (everything, *by_label.values()):
+        for rows in by_prefix.values():
             assert rows
             assert all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
-            if label is not None:
-                assert Counter(map(id, rows)) == Counter(
-                    id(row) for row in everything[prefix] if tree.group_key(row[4]) == label)
+    for label, by_prefix in by_label.items():
+        for prefix, rows in by_prefix.items():
+            assert Counter(map(id, rows)) == Counter(
+                id(row) for row in everything[prefix] if tree.group_key(row[4]) == label)
     tree.nearest_in_group(key, point)
     tree.nearest_in_group(key, point, *([] if tree.group_key is None else ["2015-01"]))
     tree.scb_query(key)
-    assert tree._maps == maps and all(tree._maps[kind] is built for kind, built in maps.items())
+    assert built_maps(tree).keys() == maps.keys()
+    assert all(built_maps(tree)[name] is built for name, built in maps.items())
 
 
 def random_keys(rng, records, key_length, alphabet="0123"):
@@ -95,55 +93,84 @@ def random_keys(rng, records, key_length, alphabet="0123"):
 
 
 class TestInsert:
+    """A tree takes its records when it is built, and checks every key."""
+
     def test_single_record_reaches_root_cache(self):
         record = make_record("a", 53.0, -7.0, 100_000)
-        tree = GeoTree(5)
-        tree.insert("gc7x9", record)
+        tree = GeoTree(5, [("gc7x9", record)])
         assert root_records(tree) == [record]
         assert len(tree) == 1
 
     def test_identical_keys_share_deepest_node(self):
         first = make_record("a", 53.0, -7.0, 100_000)
         second = make_record("b", 53.0, -7.0, 120_000)
-        tree = GeoTree(5)
-        tree.insert("gc7x9", first)
-        tree.insert("gc7x9", second)
+        tree = GeoTree(5, [("gc7x9", first), ("gc7x9", second)])
         bucket, depth = tree.scb_query("gc7x9", min_population=2)
         assert depth == 5
         assert bucket == [first, second]
 
     def test_wrong_key_length_rejected(self):
-        tree = GeoTree(5)
         with pytest.raises(KeyLengthMismatch):
-            tree.insert("gc7x", make_record("a", 53.0, -7.0, 100_000))
+            GeoTree(5, [("gc7x", make_record("a", 53.0, -7.0, 100_000))])
 
     def test_key_length_below_one_rejected(self):
         with pytest.raises(ValueError, match="key_length must be at least 1"):
             GeoTree(0)
 
     def test_key_outside_alphabet_rejected(self):
-        tree = GeoTree(2)
-        with pytest.raises(ValueError):
-            tree.insert("aa", make_record("a", 53.0, -7.0, 100_000))
+        with pytest.raises(ValueError) as raised:
+            GeoTree(2, [("aa", make_record("a", 53.0, -7.0, 100_000))])
+        assert raised.type is ValueError
+        assert str(raised.value) == "key character 'a' outside the geohash alphabet"
 
-    def test_rejected_key_leaves_tree_untouched(self):
-        tree = GeoTree(3)
-        with pytest.raises(ValueError):
-            tree.insert("0a0", make_record("a", 53.0, -7.0, 100_000))
-        assert len(tree) == 0 and tree._keys == [] and tree._maps == {}
-        assert list(tree.walk()) == [("", [])]
+    def test_rejected_key_builds_no_tree(self):
+        # one bad key anywhere among the items fails the build; the length
+        # is checked before the alphabet
         first = make_record("b", 53.0, -7.0, 100_000)
-        tree.insert("012", first)
-        assert tree._maps == {}  # an insert leaves no map built
-        walked = list(tree.walk())
-        built = dict(tree._maps)
-        for bad_key in ("0a0", "01"):
-            with pytest.raises(ValueError):
-                tree.insert(bad_key, make_record("c", 53.0, -7.0, 100_000))
-        assert len(tree) == 1 and tree._keys == ["012"]
-        assert tree._maps == built and tree._maps["records"] is built["records"]
-        assert list(tree.walk()) == walked == [("", [first]), ("0", [first]),
-                                               ("01", [first]), ("012", [first])]
+        bad = make_record("c", 53.0, -7.0, 100_000)
+        for bad_key, error in (("0a0", ValueError), ("01", KeyLengthMismatch),
+                               ("0a", KeyLengthMismatch)):
+            with pytest.raises(ValueError) as raised:
+                GeoTree(3, [("012", first), (bad_key, bad)])
+            assert raised.type is error
+        tree = GeoTree(3, [("012", first)])
+        assert len(tree) == 1 and tree._keys == ["012"] and built_maps(tree) == {}
+        assert list(tree.walk()) == [("", [first]), ("0", [first]),
+                                     ("01", [first]), ("012", [first])]
+        assert list(GeoTree(3).walk()) == [("", [])]
+
+    @pytest.mark.parametrize("order", list(permutations(("_records", "_rows", "_labels"))))
+    def test_each_map_is_built_once_in_any_read_order(self, order):
+        # each query builds only the map it reads, on its first read; a
+        # second read returns the same object, and group_key runs once per
+        # record
+        rng = random.Random(53)
+        records = clustered_records(rng, 60, bedrooms=(1, 2, 3, 4))
+        keys = random_keys(rng, records, 4)
+        labelled = []
+
+        def group_key(record):
+            labelled.append(record.id)
+            return record.month_key
+
+        tree = build_tree(records, keys, 4, group_key=group_key)
+        anchor = records[0]
+        reads = {
+            "_records": lambda: tree.scb_query(keys[anchor.id], 2),
+            "_rows": lambda: tree.nearest_in_group(keys[anchor.id], anchor.point),
+            "_labels": lambda: tree.nearest_in_group(keys[anchor.id], anchor.point,
+                                                     anchor.month_key),
+        }
+        assert built_maps(tree) == {}
+        built = {}
+        for name in order:
+            reads[name]()
+            built[name] = built_maps(tree)[name]
+            reads[name]()
+            now = built_maps(tree)
+            assert now.keys() == built.keys()
+            assert all(now[kind] is map_ for kind, map_ in built.items())
+        assert sorted(labelled) == sorted(r.id for r in records)
 
     def test_cache_sizes_sum_over_children(self):
         rng = random.Random(7)
@@ -168,20 +195,15 @@ class TestInsert:
 class TestScbQuery:
     def test_single_record_full_depth(self):
         record = make_record("a", 53.0, -7.0, 100_000)
-        tree = GeoTree(5)
-        tree.insert("gc7x9", record)
+        tree = GeoTree(5, [("gc7x9", record)])
         bucket, depth = tree.scb_query("gc7x9", min_population=1)
         assert bucket == [record]
         assert depth == 5
 
     def test_parameter_splits_at_first_branch(self):
-        tree = GeoTree(7)
         threes = [make_record(f"t{i}", 53.0, -7.0, 100_000) for i in range(5)]
         fours = [make_record(f"f{i}", 53.0, -7.0, 100_000) for i in range(5)]
-        for r in threes:
-            tree.insert("3gc7x9b", r)
-        for r in fours:
-            tree.insert("4gc7x9b", r)
+        tree = GeoTree(7, [*(("3gc7x9b", r) for r in threes), *(("4gc7x9b", r) for r in fours)])
         bucket, depth = tree.scb_query("3gc7x9b", min_population=3)
         assert bucket == threes
         assert depth == 7
@@ -192,8 +214,7 @@ class TestScbQuery:
 
     def test_root_fallback_when_threshold_unmet(self):
         record = make_record("a", 53.0, -7.0, 100_000)
-        tree = GeoTree(3)
-        tree.insert("000", record)
+        tree = GeoTree(3, [("000", record)])
         bucket, depth = tree.scb_query("000", min_population=10)
         assert bucket == [record]
         assert depth == 0
@@ -234,15 +255,13 @@ class TestScbQuery:
 class TestNearestInGroup:
     def test_single_matching_record(self):
         record = make_record("a", 53.0, -7.0, 100_000, month="2015-01")
-        tree = GeoTree(5, group_key=lambda r: r.month_key)
-        tree.insert("gc7x9", record)
+        tree = GeoTree(5, [("gc7x9", record)], group_key=lambda r: r.month_key)
         found = tree.nearest_in_group("gc7x9", GeoPoint(53.0, -7.0), "2015-01")
         assert found is record
 
     def test_no_record_for_month_returns_none(self):
         record = make_record("a", 53.0, -7.0, 100_000, month="2015-01")
-        tree = GeoTree(5, group_key=lambda r: r.month_key)
-        tree.insert("gc7x9", record)
+        tree = GeoTree(5, [("gc7x9", record)], group_key=lambda r: r.month_key)
         assert tree.nearest_in_group("gc7x9", GeoPoint(53.0, -7.0), "2015-02") is None
 
     def test_empty_tree_raises(self):
@@ -276,25 +295,23 @@ class TestNearestInGroup:
 
     def test_bare_string_exclude_rejected(self):
         # "s001" as a container would exclude any id that is a substring of it
-        tree = GeoTree(5, group_key=lambda r: r.month_key)
-        tree.insert("gc7x9", make_record("s0", 53.0, -7.0, 100_000))
+        tree = GeoTree(5, [("gc7x9", make_record("s0", 53.0, -7.0, 100_000))],
+                       group_key=lambda r: r.month_key)
         with pytest.raises(TypeError):
             tree.nearest_in_group("gc7x9", GeoPoint(53.0, -7.0), exclude="s001")
 
     def test_group_value_without_group_key_rejected(self):
-        tree = GeoTree(5)
-        tree.insert("gc7x9", make_record("a", 53.0, -7.0, 100_000))
+        tree = GeoTree(5, [("gc7x9", make_record("a", 53.0, -7.0, 100_000))])
         with pytest.raises(ValueError):
             tree.nearest_in_group("gc7x9", GeoPoint(53.0, -7.0), "2015-01")
 
     def test_ties_break_by_smallest_id(self):
         # both candidates sit at the same point, so distances are equal bits
-        tree = GeoTree(5, group_key=lambda r: r.month_key)
         far = make_record("z", 53.0, -7.0, 1)
         tie_b = make_record("b", 54.0, -7.5, 2)
         tie_a = make_record("a", 54.0, -7.5, 3)
-        for r in (far, tie_b, tie_a):
-            tree.insert("gc7x9", r)
+        tree = GeoTree(5, [("gc7x9", r) for r in (far, tie_b, tie_a)],
+                       group_key=lambda r: r.month_key)
         found = tree.nearest_in_group("gc7x9", GeoPoint(54.0, -7.5), "2015-01")
         assert found.id == "a"
 
@@ -357,9 +374,8 @@ def test_query_arguments_are_checked(query):
 )
 @settings(max_examples=100)
 def test_cache_coherence_property(keys):
-    tree = GeoTree(4)
-    for i, key in enumerate(keys):
-        tree.insert(key, make_record(f"r{i:03d}", 53.0, -7.0, 100_000))
+    tree = GeoTree(4, [(key, make_record(f"r{i:03d}", 53.0, -7.0, 100_000))
+                       for i, key in enumerate(keys)])
     assert len(root_records(tree)) == len(keys)
     assert {prefix for prefix, _ in tree.walk()} == {
         key[:d] for key in keys for d in range(5)
@@ -545,10 +561,10 @@ def _ids(records):
 ], ids=["ungrouped", "by_month", "partly_unlabelled"])
 @pytest.mark.parametrize("seed", range(6))
 def test_interleaved_inserts_and_queries_match_the_oracle(seed, group_key):
-    """Queries between inserts answer as the oracle over the records inserted
-    so far and as a tree built from them in one go; an insert leaves no map
-    built, each read builds only the map it reads, and reads with no insert
-    between them share one build of it."""
+    """Trees built in one call over ever more of the records answer queries
+    as the oracle over those records does, whatever the order of the reads:
+    a built tree holds no map, each read builds only the map it reads, and
+    later reads share that build."""
     rng = random.Random(seed)
     records = clustered_records(rng, 120, bedrooms=(1, 2, 3, 4))
     key_length = 4
@@ -556,14 +572,12 @@ def test_interleaved_inserts_and_queries_match_the_oracle(seed, group_key):
     tree = GeoTree(key_length, group_key=group_key)
     assert list(tree.walk()) == [("", [])] and len(tree) == 0
     labels = [None] if group_key is None else [None, "2015-01", "2015-02", "2015-03"]
-    inserted = []
-    for record in records:
-        tree.insert(keys[record.id], record)
-        assert tree._maps == {}
-        inserted.append(record)
+    for count in range(1, len(records) + 1):
+        inserted = records[:count]
+        tree = build_tree(inserted, keys, key_length, group_key=group_key)
+        assert built_maps(tree) == {}
         built: dict[str, dict] = {}
         for _ in range(rng.choice((0, 0, 1, 3))):
-            whole = build_tree(inserted, keys, key_length, group_key=group_key)
             query = rng.choice(inserted)
             query_key = rng.choice((keys[query.id], "".join(rng.choice("0123")
                                                              for _ in range(key_length))))
@@ -573,14 +587,17 @@ def test_interleaved_inserts_and_queries_match_the_oracle(seed, group_key):
                 bucket, depth = tree.scb_query(query_key, min_population)
                 expected, expected_depth = scb_scan(inserted, keys, query_key, min_population)
                 assert (_ids(bucket), depth) == (_ids(expected), expected_depth)
-                assert (bucket, depth) == whole.scb_query(query_key, min_population)
-                read = "records"
+                read = "_records"
             elif kind == "walk":
+                expected = {}  # each prefix in the order the keys reach it
+                for r in inserted:
+                    for depth in range(key_length + 1):
+                        expected.setdefault(keys[r.id][:depth], []).append(r.id)
                 walked = [(prefix, _ids(items)) for prefix, items in tree.walk()]
-                assert walked == [(prefix, _ids(items)) for prefix, items in whole.walk()]
-                read = "records"
+                assert walked == list(expected.items())
+                read = "_records"
             elif kind == "len":
-                assert len(tree) == len(whole) == len(inserted)
+                assert len(tree) == len(inserted)
                 read = None
             else:
                 group = rng.choice(labels)
@@ -593,13 +610,10 @@ def test_interleaved_inserts_and_queries_match_the_oracle(seed, group_key):
                 expected = nearest_scan(members, keys, query_key, query.point,
                                         exclude=exclude, min_population=min_population)
                 assert found is expected
-                assert found is whole.nearest_in_group(
-                    query_key, query.point, group, exclude=exclude,
-                    min_population=min_population)
-                read = "rows" if group is None else "labels"
+                read = "_rows" if group is None else "_labels"
             if read is not None:
-                built.setdefault(read, tree._maps[read])
-            assert tree._maps.keys() == built.keys()
-            assert all(tree._maps[name] is current for name, current in built.items())
+                built.setdefault(read, built_maps(tree)[read])
+            assert built_maps(tree).keys() == built.keys()
+            assert all(built_maps(tree)[name] is current for name, current in built.items())
     assert_rows_follow_cache(tree)
     assert_caches_are_unions(tree)

@@ -28,7 +28,7 @@ from geohpi.index_engine import (
 from geohpi.ingestion import add_months
 from geohpi.synthgen import generate, mix_shift_config
 
-from helpers import clustered_records, make_record
+from helpers import built_maps, clustered_records, make_record
 from oracle import chain_scan, matrix_scan, oracle_key, pipeline_scan, voting_scan
 
 
@@ -666,10 +666,9 @@ def test_compute_index_builds_only_the_maps_its_queries_read(monkeypatch):
         compute_index(records, config)
         voting_tree, month_tree = trees
         assert voting_tree.group_key is not None and month_tree.group_key is not None
-        assert set(voting_tree._maps) == {"rows"}
-        assert list(voting_tree._maps["rows"]) == [None]
-        assert set(month_tree._maps) == {"labels"}
-        assert set(month_tree._maps["labels"]) == {r.month_key for r in records}
+        assert set(built_maps(voting_tree)) == {"_rows"}
+        assert set(built_maps(month_tree)) == {"_labels"}
+        assert set(month_tree._labels) == {r.month_key for r in records}
 
 
 def test_compute_index_without_removal_builds_one_tree(monkeypatch):

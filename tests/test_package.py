@@ -125,3 +125,16 @@ def test_internal_error_in_fresh_interpreter_prints_traceback(tmp_path):
     assert "internal error: engine exploded" in done.stderr
     assert "Traceback (most recent call last)" in done.stderr
     assert "RuntimeError: engine exploded" in done.stderr
+
+
+def test_every_python_file_parses_with_the_3_10_grammar():
+    """``pyproject.toml`` allows Python 3.10, so every ``.py`` file under
+    ``src/``, ``tests/``, ``scripts/`` and ``perfbench/`` must parse with its
+    grammar: no ``except*`` and no PEP 695 ``type`` statements or generics.
+    This checks syntax only, not calls into library functions that 3.10 lacks."""
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(path for folder in ("src", "tests", "scripts", "perfbench")
+                   for path in (root / folder).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
